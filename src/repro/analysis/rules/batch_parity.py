@@ -7,17 +7,10 @@ recovery runner checkpoints whatever engine it wraps.  An engine
 lacking any of the three either crashes those drivers or — worse —
 silently falls off the fast/recoverable path.
 
-The columnar feed path (``feed_colbatch``, PR 10) joined the protocol
-for the same reason: the pipelined fan-out ships ``EventBatch``
-payloads to whatever sub-engine class a partition holds, so an engine
-outside the ``feed_colbatch`` surface silently loses the columnar
-fast path (the ``Engine`` base provides the reference implementation;
-defining ``feed`` while dodging the base class is the hazard).
-
 The rule fires on every engine-protocol class (one that derives from
 ``Engine`` or defines ``_process_event``) that defines a concrete
 ``feed`` but does not define *or inherit* a concrete ``feed_batch``,
-``feed_colbatch``, ``snapshot``, or ``restore``.  Non-engine wrappers
+``snapshot``, or ``restore``.  Non-engine wrappers
 that happen to have a ``feed`` method (drivers, adapters, registries)
 are out of scope by design: they forward to an engine rather than
 implement the protocol.
@@ -31,14 +24,14 @@ from repro.analysis.findings import Finding
 from repro.analysis.model import Project
 from repro.analysis.rules import Rule
 
-_REQUIRED = ("feed_batch", "feed_colbatch", "snapshot", "restore")
+_REQUIRED = ("feed_batch", "snapshot", "restore")
 
 
 class BatchParity(Rule):
     rule_id = "R004"
     summary = (
         "an engine defining feed must define or inherit feed_batch, "
-        "feed_colbatch, snapshot, and restore"
+        "snapshot, and restore"
     )
 
     def check(self, project: Project) -> Iterator[Finding]:

@@ -4,9 +4,9 @@ Each experiment in ``benchmarks/`` is a sweep over one knob, comparing
 a fixed set of engine configurations on identical traces.  This module
 centralises the two pieces every experiment needs:
 
-* :func:`make_engine` — a name → engine factory covering all four
-  strategies, so experiments select engines by string and stay
-  declarative;
+* :func:`make_engine` — a name → engine factory covering every
+  strategy in :data:`ENGINE_NAMES`, so experiments select engines by
+  string and stay declarative;
 * :func:`run_cell` — feed one arrival trace through one engine and
   collect every measurement (wall time, counters, quality vs. oracle,
   latency summaries, peak state) in a flat dict, ready for a report
@@ -26,16 +26,17 @@ from repro.core.inorder import InOrderEngine
 from repro.core.oracle import OfflineOracle
 from repro.core.partition import ParallelPartitionedEngine, PartitionedEngine
 from repro.core.pattern import Pattern
-from repro.core.pipeline import PipelinedPartitionedEngine
 from repro.core.purge import PurgePolicy
 from repro.core.reorder import ReorderingEngine
 from repro.core.shedding import ShedPolicy
 from repro.metrics.latency import summarize_arrival_latency, summarize_occurrence_latency
 from repro.metrics.quality import QualityReport, compare_keys
 
+#: Strategy names :func:`make_engine` accepts (and ``repro run --engine``
+#: offers): four evaluation strategies, then the partitioned family —
+#: serial per-key routing and its close-time worker-pool variant.
 ENGINE_NAMES = (
     "ooo", "inorder", "reorder", "aggressive", "partitioned", "parallel",
-    "pipeline",
 )
 
 
@@ -48,7 +49,7 @@ def make_engine(
     index: bool = True,
     key: Optional[str] = None,
     workers: int = 1,
-    backend: Optional[str] = None,
+    backend: str = "thread",
     shed: Optional[ShedPolicy] = None,
     speculative: bool = False,
     controller=None,
@@ -61,26 +62,17 @@ def make_engine(
     ``aggressive``  optimistic emit + revocations (extension)
     ``partitioned`` per-key sub-engines, serial routing
     ``parallel``    partitioned with a close-time worker pool (*workers*,
-                    *backend*; the PR-1 barrier design)
-    ``pipeline``    partitioned over long-lived workers with columnar
-                    batches and epoch-ordered streaming output
-                    (*workers*, *backend*)
-
-    *backend* ``None`` resolves to each family's native default:
-    ``thread`` for ``parallel`` (its pool maps once at close, where
-    pickling dominates), ``process`` for ``pipeline`` (long-lived
-    workers amortise start-up and escape the GIL).
+                    *backend* ``thread`` or ``process``)
 
     *speculative* / *controller* (the optimistic side-stream and the
     adaptive-K policy) apply to the ``ooo`` and ``partitioned`` families
-    (``parallel``/``pipeline`` only at ``workers=1``); other strategies
-    reject them —
+    (``parallel`` only at ``workers=1``); other strategies reject them —
     the aggressive engine already has its own optimistic protocol, and
     the reorder/inorder baselines have no pending matches to speculate
     on.
     """
     if speculative or controller is not None:
-        if name not in ("ooo", "partitioned", "parallel", "pipeline"):
+        if name not in ("ooo", "partitioned", "parallel"):
             raise ConfigurationError(
                 "speculative/adaptive modes are supported by the ooo and "
                 f"partitioned engine families, not {name!r}"
@@ -127,18 +119,6 @@ def make_engine(
             speculative=speculative,
             controller=controller,
         )
-    if name == "pipeline":
-        return PipelinedPartitionedEngine(
-            pattern,
-            k=k,
-            purge=purge,
-            key=key,
-            index=index,
-            workers=workers,
-            backend=backend or "process",
-            speculative=speculative,
-            controller=controller,
-        )
     if name == "parallel":
         return ParallelPartitionedEngine(
             pattern,
@@ -147,7 +127,7 @@ def make_engine(
             key=key,
             index=index,
             workers=workers,
-            backend=backend or "thread",
+            backend=backend,
             speculative=speculative,
             controller=controller,
         )

@@ -158,26 +158,6 @@ class Engine:
         """Feed every element; returns all matches emitted during the run."""
         return self.feed_batch(elements)
 
-    def feed_colbatch(self, batch, marks: Optional[List[int]] = None) -> List[Match]:
-        """Process a columnar :class:`~repro.core.colbatch.EventBatch`.
-
-        Semantically identical to ``feed_batch(batch.to_events())``.
-        When *marks* is given (a caller-owned list), the cumulative
-        emission count is appended after every row — ``len(batch)``
-        entries — so callers can attribute each emitted match to the
-        row whose processing produced it (the pipelined engine's
-        epoch-ordered merge rebuilds the serial interleave from these).
-        The reference implementation materialises rows and feeds them;
-        engines with a columnar fast path override it.
-        """
-        if marks is None:
-            return self.feed_batch(batch.to_events())
-        emitted: List[Match] = []
-        for event in batch.to_events():
-            emitted.extend(self.feed(event))
-            marks.append(len(emitted))
-        return emitted
-
     def close(self) -> List[Match]:
         """End of stream: release everything still pending, then seal the engine."""
         if self._closed:
@@ -971,264 +951,6 @@ class OutOfOrderEngine(Engine):
                     size_now = store_size + len(pending_heap)
                     if size_now > peak:
                         peak = size_now
-        finally:
-            clock._observations += observations
-            purge_policy._since_last = since_last
-            stats.peak_state_size = peak
-            stats.events_quarantined += quarantined
-            stats.events_in += events_in
-            stats.events_admitted += events_admitted
-            stats.events_ignored += events_ignored
-            stats.late_dropped += late_dropped
-            stats.out_of_order_events += out_of_order
-            stats.purge_runs += purge_runs
-            stats.instances_purged += instances_purged
-            stats.negatives_purged += side_purged
-            stats.construction_skipped_by_probe += skipped_by_probe
-        return emitted
-
-    def feed_colbatch(self, batch, marks: Optional[List[int]] = None) -> List[Match]:
-        """Columnar fast path: evaluate admission against flat arrays.
-
-        Observable behaviour is identical to
-        ``feed_batch(batch.to_events())`` — emissions, counters, state
-        trajectory, exceptions (pinned by the colbatch property suite).
-        On top of :meth:`feed_batch`'s amortisations this path reads
-        timestamps and type codes straight from the batch's columns,
-        evaluates local admission predicates through their columnar
-        compilations (``indexplan.compile_admission``), and only
-        materialises an :class:`Event` object for rows that actually
-        enter engine state (stack/side-store inserts), raise, or need
-        an interpreted predicate — on selective patterns the bulk of a
-        disordered stream never becomes objects at all.
-        """
-        if self._closed:
-            raise EngineStateError(f"{type(self).__name__} is closed")
-        from repro.core.colbatch import EventBatch
-
-        if (
-            type(batch) is not EventBatch
-            or self.shed is not None
-            or self._obs is not None
-            or self._controller is not None
-            or type(self)._post_event is not OutOfOrderEngine._post_event
-            or type(self)._ripe_possible is not OutOfOrderEngine._ripe_possible
-        ):
-            # Views and subclass hooks take the reference row loop;
-            # instrumented/shedding/adaptive configurations fall back
-            # exactly as feed_batch does.
-            return Engine.feed_colbatch(self, batch, marks)
-        from repro.core.indexplan import admission_table
-
-        # Memoised per scanner (a pure function of its dispatch), so
-        # the compiled closures are built once per engine yet never
-        # become engine state a snapshot could lose.
-        col_dispatch = admission_table(self.scanner)
-        emitted: List[Match] = []
-        stats = self.stats
-        clock = self.clock
-        pattern = self.pattern
-        stacks = self.stacks
-        stack_list = stacks.stacks
-        stack_keys = [stack._keys for stack in stack_list]
-        negatives = self.negatives
-        kleene = self.kleene_store
-        pending_heap = self.pending._heap
-        purge_policy = self.purge_policy
-        probe = self.scanner.optimize
-        construct = self.constructor.construct
-        route = self._route
-        relevant_types = pattern.relevant_types
-        has_negatives = bool(pattern.negated_types)
-        has_kleene = bool(pattern.kleene_types)
-        neg_insert = negatives.insert
-        kleene_insert = kleene.insert
-        window = pattern.within
-        length = pattern.length
-        final_step = length - 1
-        step_range = list(range(length))
-        drop_late = self.late_policy is LatePolicy.DROP
-        raise_late = self.late_policy is LatePolicy.RAISE
-        purge_mode = purge_policy.mode
-        purge_eager = purge_mode is PurgeMode.EAGER
-        purge_lazy = purge_mode is PurgeMode.LAZY
-        purge_interval = purge_policy.interval
-        since_last = purge_policy._since_last
-        quarantine = self.validation is ValidationPolicy.QUARANTINE
-        quarantined = 0
-        k = clock.k
-        max_ts = clock._max_ts
-        observations = 0
-        horizon = clock.horizon()
-        store_size = stacks.size() + negatives.size() + kleene.size()
-        peak = stats.peak_state_size
-        events_in = events_admitted = events_ignored = 0
-        late_dropped = out_of_order = 0
-        purge_runs = instances_purged = side_purged = skipped_by_probe = 0
-        purged_at = -2
-        dirty = True
-        # Per-batch, per-type precomputation: classification is a list
-        # probe by type code inside the row loop.
-        table = batch.type_table
-        type_ok = [isinstance(t, str) and bool(t) for t in table]
-        entries_by_code = [
-            col_dispatch.get(t) if t in relevant_types else None for t in table
-        ]
-        relevant_by_code = [t in relevant_types for t in table]
-        neg_by_code = [has_negatives and negatives.relevant(t) for t in table]
-        kleene_by_code = [has_kleene and kleene.relevant(t) for t in table]
-        ts_col = batch.ts
-        code_col = batch.codes
-        materialize = batch.event
-        mark = marks.append if marks is not None else None
-        try:
-            for i in range(batch.length):
-                ts = ts_col[i]
-                code = code_col[i]
-                if type(ts) is not int or ts < 0 or not type_ok[code]:
-                    if quarantine:
-                        quarantined += 1
-                        if mark is not None:
-                            mark(len(emitted))
-                        continue
-                    raise admission_error(materialize(i))
-                self._arrival += 1
-                events_in += 1
-                was_late = ts <= horizon
-                if was_late:
-                    if raise_late:
-                        raise DisorderBoundViolation(materialize(i), max_ts, k or 0)
-                    late_dropped += 1
-                    if drop_late:
-                        if mark is not None:
-                            mark(len(emitted))
-                        continue
-                    # LatePolicy.PROCESS: best effort, falls through.
-                observations += 1
-                if ts > max_ts:
-                    max_ts = ts
-                    clock._max_ts = ts
-                    if k is not None:
-                        advanced = ts - k - 1
-                        if advanced > horizon:
-                            horizon = advanced
-                elif ts < max_ts:
-                    out_of_order += 1
-
-                if not relevant_by_code[code]:
-                    events_ignored += 1
-                else:
-                    event = None
-                    side_stored = False
-                    if neg_by_code[code]:
-                        event = materialize(i)
-                        neg_insert(event)
-                        side_stored = True
-                        store_size += 1
-                    if kleene_by_code[code]:
-                        if event is None:
-                            event = materialize(i)
-                        kleene_insert(event)
-                        side_stored = True
-                        store_size += 1
-                    admitted = False
-                    entries = entries_by_code[code]
-                    if entries:
-                        instance = None
-                        for step_index, var, checks in entries:
-                            ok = True
-                            for col_fn, predicate in checks:
-                                if col_fn is not None:
-                                    if not col_fn(batch, i):
-                                        ok = False
-                                        break
-                                else:
-                                    if event is None:
-                                        event = materialize(i)
-                                    if not predicate.evaluate({var: event}):
-                                        ok = False
-                                        break
-                            if not ok:
-                                continue
-                            if instance is None:
-                                if event is None:
-                                    event = materialize(i)
-                                instance = Instance(event, self._arrival)
-                            admitted = True
-                            stack_list[step_index].insert(instance)
-                            store_size += 1
-                            if was_late or (
-                                step_index == final_step and ts <= horizon + 1
-                            ):
-                                dirty = True
-                            ok = True
-                            if probe:
-                                for j in step_range:
-                                    if j == step_index:
-                                        continue
-                                    if j < step_index:
-                                        lo = ts - window
-                                        hi = ts - 1
-                                    else:
-                                        lo = ts + 1
-                                        hi = ts + window
-                                    keys = stack_keys[j]
-                                    index = bisect_left(keys, (lo, -1))
-                                    if index >= len(keys) or keys[index][0] > hi:
-                                        ok = False
-                                        skipped_by_probe += 1
-                                        break
-                            if ok:
-                                for match in construct(
-                                    stacks, step_index, instance, stats
-                                ):
-                                    route(match, emitted)
-                    if was_late and side_stored:
-                        dirty = True
-                    if admitted or side_stored:
-                        events_admitted += 1
-                    else:
-                        events_ignored += 1
-
-                if pending_heap:
-                    self._release_ripe(emitted)
-                if purge_eager:
-                    due = True
-                elif purge_lazy:
-                    since_last += 1
-                    if since_last >= purge_interval:
-                        since_last = 0
-                        due = True
-                    else:
-                        due = False
-                else:
-                    due = False
-                if due and horizon >= 0:
-                    if dirty or horizon > purged_at:
-                        nonfinal_cut = horizon - window
-                        for j in step_range:
-                            cut = horizon + 1 if j == final_step else nonfinal_cut
-                            keys = stack_keys[j]
-                            if keys and keys[0][0] <= cut:
-                                dropped = stack_list[j].purge_through(cut)
-                                instances_purged += dropped
-                                store_size -= dropped
-                        if has_negatives:
-                            dropped = negatives.purge_through(nonfinal_cut)
-                            side_purged += dropped
-                            store_size -= dropped
-                        if has_kleene:
-                            dropped = kleene.purge_through(nonfinal_cut)
-                            side_purged += dropped
-                            store_size -= dropped
-                        purged_at = horizon
-                        dirty = False
-                    purge_runs += 1
-                size_now = store_size + len(pending_heap)
-                if size_now > peak:
-                    peak = size_now
-                if mark is not None:
-                    mark(len(emitted))
         finally:
             clock._observations += observations
             purge_policy._since_last = since_last

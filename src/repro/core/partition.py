@@ -30,18 +30,22 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.clock import StreamClock
 from repro.core.engine import Engine, LatePolicy, OutOfOrderEngine
-from repro.core.errors import ConfigurationError, QueryError
+from repro.core.errors import ConfigurationError, DisorderBoundViolation, QueryError
 from repro.core.event import Event, Punctuation
 from repro.core.pattern import Match, Pattern
 from repro.core.purge import PurgePolicy
 from repro.core.stats import EngineStats
 
+#: :meth:`PartitionedEngine._triage` outcomes for an event that reaches
+#: no partition: dropped as late, or ignored (irrelevant type, no key).
+_DROPPED = object()
+_IGNORED = object()
+
 
 def require_picklable_pattern(pattern: Pattern, backend: str) -> None:
     """Fail fast — and descriptively — on process-backend pickling hazards.
 
-    A process pool (and a pipeline worker under the ``spawn`` start
-    method) must pickle the pattern; ``FnPredicate`` lambdas can't be.
+    A process pool must pickle the pattern; ``FnPredicate`` lambdas can't be.
     Checking at construction, unconditionally for process backends,
     turns a platform-dependent mid-run ``PicklingError`` deep inside the
     pool machinery into an immediate :class:`ConfigurationError` that
@@ -290,30 +294,41 @@ class PartitionedEngine(Engine):
 
     # -- processing ------------------------------------------------------------------
 
-    def _process_event(self, event: Event) -> List[Match]:
-        emitted: List[Match] = []
-        if self.clock.is_late(event):
-            self.stats.late_dropped += 1
-            if self.late_policy is LatePolicy.RAISE:
-                from repro.core.errors import DisorderBoundViolation
+    def _triage(self, event: Event) -> Any:
+        """Global-clock pre-pass shared by the serial and deferred paths.
 
+        Applies the late-arrival policy against the outer clock,
+        advances it, and resolves the event's partition value, keeping
+        the flow counters exactly as :class:`OutOfOrderEngine` keeps
+        them (an event raised on is not counted as dropped).  Returns
+        the partition value, :data:`_DROPPED` for a late event the
+        policy drops, or :data:`_IGNORED` for an irrelevant or unkeyed
+        event.
+        """
+        if self.clock.is_late(event):
+            if self.late_policy is LatePolicy.RAISE:
                 raise DisorderBoundViolation(event, self.clock.now, self.k or 0)
+            self.stats.late_dropped += 1
             if self.late_policy is LatePolicy.DROP:
-                return emitted
+                return _DROPPED
         if self.clock.observe(event):
             self.stats.out_of_order_events += 1
-
         if event.etype in self.pattern.relevant_types:
             value = event.get(self.key)
-            if value is None and self.key not in event:
-                self.stats.events_ignored += 1
-            else:
-                sub = self._sub_engine(value)
-                for match in sub.feed(event):
-                    self._surface(match, emitted)
+            if value is not None or self.key in event:
                 self.stats.events_admitted += 1
-        else:
-            self.stats.events_ignored += 1
+                return value
+        self.stats.events_ignored += 1
+        return _IGNORED
+
+    def _process_event(self, event: Event) -> List[Match]:
+        emitted: List[Match] = []
+        value = self._triage(event)
+        if value is _DROPPED:
+            return emitted
+        if value is not _IGNORED:
+            for match in self._sub_engine(value).feed(event):
+                self._surface(match, emitted)
 
         self._since_punctuation += 1
         if self._since_punctuation >= self.punctuate_every:
@@ -508,28 +523,9 @@ class ParallelPartitionedEngine(PartitionedEngine):
     def _process_event(self, event: Event) -> List[Match]:
         if self.workers == 1:
             return PartitionedEngine._process_event(self, event)
-        if self.clock.is_late(event):
-            self.stats.late_dropped += 1
-            if self.late_policy is LatePolicy.RAISE:
-                from repro.core.errors import DisorderBoundViolation
-
-                raise DisorderBoundViolation(event, self.clock.now, self.k or 0)
-            if self.late_policy is LatePolicy.DROP:
-                return []
-        if self.clock.observe(event):
-            self.stats.out_of_order_events += 1
-        if event.etype in self.pattern.relevant_types:
-            value = event.get(self.key)
-            if value is None and self.key not in event:
-                self.stats.events_ignored += 1
-            else:
-                bucket = self._routed.get(value)
-                if bucket is None:
-                    bucket = self._routed[value] = []
-                bucket.append(event)
-                self.stats.events_admitted += 1
-        else:
-            self.stats.events_ignored += 1
+        value = self._triage(event)
+        if value is not _DROPPED and value is not _IGNORED:
+            self._routed.setdefault(value, []).append(event)
         return []
 
     def _on_punctuation(self, punctuation: Punctuation) -> List[Match]:

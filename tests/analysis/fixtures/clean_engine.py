@@ -19,14 +19,6 @@ class CleanEngine:
             out.extend(self.feed(element))
         return out
 
-    def feed_colbatch(self, batch, marks=None):
-        out = []
-        for element in batch.to_events():
-            out.extend(self.feed(element))
-            if marks is not None:
-                marks.append(len(out))
-        return out
-
     def snapshot(self):
         return {"buffer": list(self._buffer)}
 

@@ -75,7 +75,6 @@ def test_r004_flags_missing_protocol_methods():
     findings = analyze("bad_r004.py", BatchParity())
     assert sorted(f.symbol for f in findings) == [
         "HalfEngine.feed_batch",
-        "HalfEngine.feed_colbatch",
         "HalfEngine.restore",
         "HalfEngine.snapshot",
     ]

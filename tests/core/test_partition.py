@@ -4,9 +4,13 @@ import pytest
 
 from repro import (
     ConfigurationError,
+    DisorderBoundViolation,
     Event,
+    FnPredicate,
+    LatePolicy,
     OfflineOracle,
     OutOfOrderEngine,
+    ParallelPartitionedEngine,
     PartitionedEngine,
     Punctuation,
     PurgePolicy,
@@ -252,7 +256,6 @@ class TestSpeculativePartitions:
         engine.close()
 
     def test_parallel_workers_reject_speculation(self, keyed_pattern):
-        from repro import ParallelPartitionedEngine
         from repro.streams import AdaptiveKController
 
         with pytest.raises(ConfigurationError):
@@ -269,3 +272,50 @@ class TestSpeculativePartitions:
             keyed_pattern, k=5, workers=1, speculative=True
         )
         assert engine.speculative
+
+
+class TestLateRaise:
+    @pytest.mark.parametrize("feed", ["feed", "feed_batch"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda p: OutOfOrderEngine(p, k=5, late_policy=LatePolicy.RAISE),
+            lambda p: PartitionedEngine(p, k=5, late_policy=LatePolicy.RAISE),
+            lambda p: ParallelPartitionedEngine(
+                p, k=5, late_policy=LatePolicy.RAISE, workers=2
+            ),
+        ],
+        ids=["ooo", "partitioned", "parallel"],
+    )
+    def test_raised_event_is_not_counted_dropped(self, keyed_pattern, build, feed):
+        engine = build(keyed_pattern)
+        late = Event("A", 2, {"x": 2})
+        engine.feed(Event("A", 100, {"x": 1}))
+        with pytest.raises(DisorderBoundViolation):
+            if feed == "feed":
+                engine.feed(late)
+            else:
+                engine.feed_batch([late])
+        assert engine.stats.late_dropped == 0
+        assert engine.stats.events_admitted == 1
+
+
+class TestParallelConfiguration:
+    def test_rejects_bad_workers_and_backend(self, keyed_pattern):
+        with pytest.raises(ConfigurationError, match="workers"):
+            ParallelPartitionedEngine(keyed_pattern, k=10, workers=0)
+        with pytest.raises(ConfigurationError, match="backend"):
+            ParallelPartitionedEngine(keyed_pattern, k=10, workers=2, backend="mpi")
+
+    def test_unpicklable_predicate_named_in_error(self, keyed_pattern):
+        lambda_pred = FnPredicate(("a",), lambda b: True, label="inline-lambda")
+        pattern = type(keyed_pattern)(
+            keyed_pattern.steps,
+            tuple(keyed_pattern.where) + (lambda_pred,),
+            keyed_pattern.within,
+            keyed_pattern.name,
+        )
+        with pytest.raises(ConfigurationError, match="inline-lambda"):
+            ParallelPartitionedEngine(pattern, k=10, workers=2, backend="process")
+        # the thread backend needs no pickling and accepts it
+        ParallelPartitionedEngine(pattern, k=10, workers=2, backend="thread")

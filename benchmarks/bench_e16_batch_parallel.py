@@ -37,7 +37,7 @@ from repro.metrics import render_table
 from repro.streams import RandomDelayModel
 from repro.workloads import SyntheticWorkload
 
-from common import write_result
+from common import machine_fingerprint, write_result
 
 EVENTS = 6000
 RATE = 0.3
@@ -162,6 +162,7 @@ def run_experiment(quick: bool = False) -> str:
     payload = {
         "experiment": "e16_batch_parallel",
         "quick": quick,
+        "machine": machine_fingerprint(),
         "workload": {
             "events": events,
             "disorder_rate": RATE,

@@ -20,7 +20,10 @@ Run everything and print all tables:  python benchmarks/run_all.py
 
 from __future__ import annotations
 
+import os
+import platform
 from pathlib import Path
+from typing import Dict
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -30,3 +33,18 @@ def write_result(name: str, text: str) -> str:
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text, encoding="utf-8")
     return text
+
+
+def machine_fingerprint() -> Dict[str, object]:
+    """The host a measurement ran on, for stamping machine-readable results."""
+    try:
+        affinity = len(os.sched_getaffinity(0))
+    except AttributeError:
+        affinity = os.cpu_count() or 0
+    return {
+        "cpu_count": os.cpu_count(),
+        "affinity_cpus": affinity,
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "machine": platform.machine(),
+    }

@@ -112,6 +112,11 @@ class Engine:
         self.validation = ValidationPolicy.RAISE
         self._arrival = 0
         self._closed = False
+        # Retained state as of the last per-element feed() or restore(),
+        # so a wrapper summing sub-engines reads one feed's size change
+        # without re-counting (PartitionedEngine's running total).  Batch
+        # fast paths and the instrumented feed do not maintain it.
+        self._fed_size = 0  # repro: ignore[R001] -- derived count, rebuilt on restore
         # Observability bundle (repro.obs.hooks.Observability), attached
         # via enable_observability().  None by default: the disabled hot
         # path pays exactly one attribute check per element.
@@ -137,7 +142,8 @@ class Engine:
         else:
             self.stats.punctuations_in += 1
             emitted = self._on_punctuation(element)
-        self.stats.note_state_size(self.state_size())
+        size = self._fed_size = self.state_size()
+        self.stats.note_state_size(size)
         return emitted
 
     def feed_batch(self, elements: Iterable[StreamElement]) -> List[Match]:
@@ -234,6 +240,7 @@ class Engine:
         configuration.
         """
         self._restore_state(snapshots.unpack(self, blob))
+        self._fed_size = self.state_size()
 
     def _snapshot_config(self) -> dict:
         """Construction-time identity, verified (not restored) on restore."""
@@ -408,18 +415,19 @@ class OutOfOrderEngine(Engine):
         # Kleene elements live in their own ts-sorted store, consulted at
         # seal time exactly like negatives (same retention proof).
         self.kleene_store = NegativeStore(pattern.kleene_types)
+        # Without negated or Kleene steps both stores stay empty, and
+        # state_size() (read after every feed) skips them.
+        self._has_brackets = bool(pattern.negated_types or pattern.kleene_types)
         self.pending = PendingMatches()
         self.purger = Purger(pattern.within, pattern.length)
 
     # -- state -------------------------------------------------------------------
 
     def state_size(self) -> int:
-        return (
-            self.stacks.size()
-            + self.negatives.size()
-            + self.kleene_store.size()
-            + len(self.pending)
-        )
+        size = self.stacks.size() + len(self.pending)
+        if self._has_brackets:
+            size += self.negatives.size() + self.kleene_store.size()
+        return size
 
     # -- checkpoint / restore -----------------------------------------------------
 

@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional
 from repro.core.clock import StreamClock
 from repro.core.engine import Engine, LatePolicy, OutOfOrderEngine
 from repro.core.errors import ConfigurationError, DisorderBoundViolation, QueryError
-from repro.core.event import Event, Punctuation
+from repro.core.event import Event, Punctuation, StreamElement
 from repro.core.pattern import Match, Pattern
 from repro.core.purge import PurgePolicy
 from repro.core.stats import EngineStats
@@ -200,6 +200,9 @@ class PartitionedEngine(Engine):
         self.clock = StreamClock(k)
         self.punctuate_every = punctuate_every
         self._partitions: Dict[Any, OutOfOrderEngine] = {}
+        # Retained state summed over the partitions, moved by each
+        # sub-feed's size change so state_size() never scans them all.
+        self._state_total = 0  # repro: ignore[R001] -- derived count, rebuilt on restore
         self._since_punctuation = 0
         self._last_broadcast = -1
 
@@ -217,11 +220,22 @@ class PartitionedEngine(Engine):
             # first events are judged against the same promise.
             if self._last_broadcast >= 0:
                 engine.feed(Punctuation(self._last_broadcast))
+                self._state_total += engine._fed_size
             self._partitions[value] = engine
         return engine
 
+    def _feed_partition(
+        self, engine: OutOfOrderEngine, element: StreamElement, emitted: List[Match]
+    ) -> None:
+        """Feed one sub-engine, surfacing its matches and carrying its
+        size change into the running total."""
+        before = engine._fed_size
+        for match in engine.feed(element):
+            self._surface(match, emitted)
+        self._state_total += engine._fed_size - before
+
     def state_size(self) -> int:
-        return sum(engine.state_size() for engine in self._partitions.values())
+        return self._state_total
 
     # -- checkpoint / restore ------------------------------------------------------
 
@@ -273,7 +287,9 @@ class PartitionedEngine(Engine):
         for value, sub_state in state["partitions"]:
             sub = self._blank_sub_engine()
             sub._restore_state(sub_state)
+            sub._fed_size = sub.state_size()
             self._partitions[value] = sub
+        self._state_total = sum(sub._fed_size for sub in self._partitions.values())
 
     def _blank_sub_engine(self) -> OutOfOrderEngine:
         """A sub-engine as :meth:`_sub_engine` builds it, minus the catch-up
@@ -327,8 +343,7 @@ class PartitionedEngine(Engine):
         if value is _DROPPED:
             return emitted
         if value is not _IGNORED:
-            for match in self._sub_engine(value).feed(event):
-                self._surface(match, emitted)
+            self._feed_partition(self._sub_engine(value), event, emitted)
 
         self._since_punctuation += 1
         if self._since_punctuation >= self.punctuate_every:
@@ -340,8 +355,7 @@ class PartitionedEngine(Engine):
         self.clock.observe_punctuation(punctuation)
         emitted: List[Match] = []
         for engine in self._partitions.values():
-            for match in engine.feed(punctuation):
-                self._surface(match, emitted)
+            self._feed_partition(engine, punctuation, emitted)
         self._last_broadcast = max(self._last_broadcast, punctuation.ts)
         return emitted
 
@@ -352,14 +366,17 @@ class PartitionedEngine(Engine):
         self._last_broadcast = horizon
         punctuation = Punctuation(horizon)
         for engine in self._partitions.values():
-            for match in engine.feed(punctuation):
-                self._surface(match, emitted)
+            self._feed_partition(engine, punctuation, emitted)
 
     def _flush(self) -> List[Match]:
         emitted: List[Match] = []
         for engine in self._partitions.values():
             for match in engine.close():
                 self._surface(match, emitted)
+        # Closing drains pending matches outside feed(): count afresh.
+        self._state_total = sum(
+            engine.state_size() for engine in self._partitions.values()
+        )
         return emitted
 
     def _surface(self, match: Match, emitted: List[Match]) -> None:
@@ -516,6 +533,8 @@ class ParallelPartitionedEngine(PartitionedEngine):
         self.workers = workers
         self.backend = backend
         self._routed: Dict[Any, List[Event]] = {}
+        # Events held across every routed bucket (the deferred state size).
+        self._buffered = 0  # repro: ignore[R001] -- derived count, rebuilt on restore
         self._worker_stats: List = []
 
     # -- deferred pre-pass (workers > 1) -------------------------------------------
@@ -526,6 +545,7 @@ class ParallelPartitionedEngine(PartitionedEngine):
         value = self._triage(event)
         if value is not _DROPPED and value is not _IGNORED:
             self._routed.setdefault(value, []).append(event)
+            self._buffered += 1
         return []
 
     def _on_punctuation(self, punctuation: Punctuation) -> List[Match]:
@@ -545,7 +565,7 @@ class ParallelPartitionedEngine(PartitionedEngine):
     def state_size(self) -> int:
         if self.workers == 1:
             return PartitionedEngine.state_size(self)
-        return sum(len(bucket) for bucket in self._routed.values())
+        return self._buffered
 
     # -- checkpoint / restore ------------------------------------------------------
 
@@ -585,6 +605,7 @@ class ParallelPartitionedEngine(PartitionedEngine):
         self._since_punctuation = state["since_punctuation"]
         self._last_broadcast = state["last_broadcast"]
         self._routed = {value: list(bucket) for value, bucket in state["routed"]}
+        self._buffered = sum(len(bucket) for bucket in self._routed.values())
         restored_stats = []
         for payload in state.get("worker_stats", []):
             stats = EngineStats()
@@ -627,6 +648,7 @@ class ParallelPartitionedEngine(PartitionedEngine):
         for match in merged:
             self._surface(match, emitted)
         self._routed.clear()
+        self._buffered = 0
         return emitted
 
     def _map(self, payloads: List) -> List:

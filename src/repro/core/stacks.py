@@ -362,7 +362,12 @@ class StackSet:
 
     def size(self) -> int:
         """Total instances currently held across all stacks."""
-        return sum(len(stack) for stack in self.stacks)
+        # Every engine feed reads this: a plain loop over the instance
+        # lists costs under half of sum() over SortedStack.__len__ calls.
+        size = 0
+        for stack in self.stacks:
+            size += len(stack._instances)
+        return size
 
     def sizes(self) -> List[int]:
         """Per-stack instance counts (diagnostics and memory experiments)."""
@@ -460,7 +465,10 @@ class NegativeStore:
         return self._by_type[etype][1][:count]
 
     def size(self) -> int:
-        return sum(len(events) for _, events in self._by_type.values())
+        size = 0
+        for _, events in self._by_type.values():
+            size += len(events)
+        return size
 
     def oldest_type(self):
         """(smallest (ts, eid) held, its event type), or None when empty.

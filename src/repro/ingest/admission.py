@@ -163,7 +163,10 @@ class AdmissionController:
         state.window.add(idem)
         state.admitted += 1
         return Admission(
-            AdmissionOutcome.ADMITTED, None, self.schema.build_event(etype, attrs), idem
+            AdmissionOutcome.ADMITTED,
+            None,
+            self.schema.build_event(etype, attrs, idem),
+            idem,
         )
 
     # -- recovery -----------------------------------------------------------------------

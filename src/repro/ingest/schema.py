@@ -267,9 +267,16 @@ class StreamSchema:
         digest = hashlib.sha1(idem_id.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big") & 0x7FFFFFFFFFFFFFFF
 
-    def build_event(self, etype: str, attrs: Mapping[str, Any]) -> Event:
-        """The engine-side event for a validated frame."""
-        idem = self.idempotency_id(etype, attrs)
+    def build_event(
+        self, etype: str, attrs: Mapping[str, Any], idem: Optional[str] = None
+    ) -> Event:
+        """The engine-side event for a validated frame.
+
+        *idem* is the frame's :meth:`idempotency_id` when the caller has
+        already derived it (admission does), so it is not hashed twice.
+        """
+        if idem is None:
+            idem = self.idempotency_id(etype, attrs)
         return Event(etype, attrs[self.t_event], attrs, eid=self.derive_eid(idem))
 
     def partition_of(self, attrs: Mapping[str, Any]) -> Optional[Any]:

@@ -201,6 +201,51 @@ class TestPartitioningWins:
         )
 
 
+class TestStateCountCost:
+    """Retained-state accounting costs O(1) per sub-engine feed, however
+    many partitions exist (counted calls, no wall-clock bound)."""
+
+    @staticmethod
+    def _count_state_size_calls(monkeypatch, pattern, keys, punctuate_every):
+        calls = [0]
+        original = OutOfOrderEngine.state_size
+
+        def counting(self):
+            calls[0] += 1
+            return original(self)
+
+        monkeypatch.setattr(OutOfOrderEngine, "state_size", counting)
+        engine = PartitionedEngine(pattern, k=10, punctuate_every=punctuate_every)
+        trace = [
+            Event("ABC"[ts % 3], ts, {"x": ts % keys}) for ts in range(1, 641)
+        ]
+        engine.feed_many(trace)
+        monkeypatch.undo()
+        assert engine.partition_count() == keys
+        sub_feeds = sum(
+            sub.stats.events_in + sub.stats.punctuations_in
+            for sub in engine._partitions.values()
+        )
+        return calls[0], sub_feeds, len(trace)
+
+    def test_calls_per_element_flat_in_key_count(self, monkeypatch, keyed_pattern):
+        # No horizon broadcast, so every element is exactly one sub-feed.
+        per_element = []
+        for keys in (8, 64):
+            calls, _, elements = self._count_state_size_calls(
+                monkeypatch, keyed_pattern, keys, punctuate_every=10_000
+            )
+            per_element.append(calls / elements)
+        assert per_element[0] == per_element[1] == 1.0
+
+    def test_one_call_per_sub_feed_with_broadcasts(self, monkeypatch, keyed_pattern):
+        for keys in (8, 64):
+            calls, sub_feeds, _ = self._count_state_size_calls(
+                monkeypatch, keyed_pattern, keys, punctuate_every=16
+            )
+            assert calls == sub_feeds
+
+
 class TestSpeculativePartitions:
     @pytest.fixture
     def neg_keyed(self):

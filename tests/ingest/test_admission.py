@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.ingest import AdmissionController, AdmissionOutcome, DedupeWindow
+from repro.ingest import AdmissionController, AdmissionOutcome, DedupeWindow, StreamSchema
 
 from ingest_helpers import make_schema
 
@@ -133,3 +133,26 @@ def test_admitted_events_carry_schema_derived_identity():
     ctrl = AdmissionController(schema, window=8)
     decision = ctrl.admit("s1", "A", {"ts": 4, "x": 9})
     assert decision.event.eid == schema.derive_eid(decision.idem_id)
+
+
+def test_admission_derives_each_frame_identity_once(monkeypatch):
+    """admit() hands its idempotency id to build_event instead of letting
+    it hash the frame again; the event id is unchanged by the hand-off."""
+    schema = make_schema(slack=2)
+    ctrl = AdmissionController(schema, window=8)
+    calls = []
+    original = StreamSchema.idempotency_id
+
+    def counting(self, etype, attrs):
+        calls.append(etype)
+        return original(self, etype, attrs)
+
+    monkeypatch.setattr(StreamSchema, "idempotency_id", counting)
+    frames = [("A", {"ts": t, "x": t % 3}) for t in range(6)]
+    decisions = [ctrl.admit("s1", etype, attrs) for etype, attrs in frames]
+    assert len(calls) == len(frames)
+    monkeypatch.undo()
+    for (etype, attrs), decision in zip(frames, decisions):
+        assert decision.outcome is AdmissionOutcome.ADMITTED
+        assert decision.event == schema.build_event(etype, attrs)
+        assert decision.event.eid == schema.build_event(etype, attrs).eid

@@ -119,6 +119,15 @@ def test_derived_eid_is_stable_and_positive():
     assert event1 == event2
 
 
+def test_build_event_with_precomputed_identity_is_identical():
+    schema = make_schema()
+    attrs = {"ts": 5, "x": 2}
+    idem = schema.idempotency_id("A", attrs)
+    built = schema.build_event("A", attrs, idem)
+    assert built == schema.build_event("A", attrs)
+    assert built.eid == schema.build_event("A", attrs).eid
+
+
 def test_events_with_different_payloads_get_different_eids():
     schema = make_schema()
     eids = {

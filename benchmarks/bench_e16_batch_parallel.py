@@ -182,7 +182,7 @@ def run_experiment(quick: bool = False) -> str:
         ["batch_size", "seconds", "events_per_sec", "speedup_vs_feed", "matches"],
         [[r["batch_size"], r["seconds"], r["events_per_sec"],
           r["speedup_vs_feed"], r["matches"]] for r in batch_rows],
-        note="batch_size 'feed' = per-event reference loop; 'all' = one batch",
+        note="batch_size 'feed' = one feed() call per element; 'all' = one batch",
     )
     text += render_table(
         f"E16b — ParallelPartitionedEngine vs worker count (n={events})",

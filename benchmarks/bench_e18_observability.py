@@ -59,9 +59,9 @@ REPEATS = 5
 
 
 class _PrePRControl(OutOfOrderEngine):
-    """The engine exactly as shipped before this PR: no ``_obs`` guard.
+    """The engine without the observability layer: no ``_obs`` guard.
 
-    ``feed`` below is the previous ``Engine.feed`` body verbatim minus
+    ``feed`` below is the current ``Engine.feed`` body verbatim minus
     the two observability lines, so the a/b comparison isolates the one
     attribute check the disabled path adds.
     """
@@ -75,13 +75,11 @@ class _PrePRControl(OutOfOrderEngine):
                 return []
             raise admission_error(element)
         if is_event(element):
-            self._arrival += 1
-            self.stats.events_in += 1
-            emitted = self._process_event(element)
-        else:
-            self.stats.punctuations_in += 1
-            emitted = self._on_punctuation(element)
-        self.stats.note_state_size(self.state_size())
+            return self._loop((element,))
+        self.stats.punctuations_in += 1
+        emitted = self._on_punctuation(element)
+        size = self._fed_size = self.state_size()
+        self.stats.note_state_size(size)
         return emitted
 
 

@@ -62,6 +62,10 @@ RESTORE_METHODS = frozenset(
     {"restore", "_restore_state", "_restore_base", "restore_state"}
 )
 
+#: Methods only engines define: the per-event hook, the fused event
+#: loop, and the batch entry point that runs it.
+ENGINE_LOOP_METHODS = frozenset({"_process_event", "_loop", "feed_batch"})
+
 #: Methods excluded when deciding whether an attribute is mutable
 #: engine state: construction builds it, restore legitimately assigns
 #: it, and snapshot methods only read.
@@ -263,13 +267,16 @@ class Project:
         """True for classes speaking the engine protocol.
 
         Either the resolved ancestry reaches a class named ``Engine``,
-        or the class (or an ancestor) defines ``_process_event`` — the
-        subclass hook that only engines implement.  Wrappers that
-        merely *drive* an engine (recovery runner, query registry,
-        output adapter) define neither and are out of scope.
+        or the class (or an ancestor) defines one of the event-loop
+        methods only engines implement: the per-event hook
+        ``_process_event``, a fused ``_loop``, or ``feed_batch``.
+        Wrappers that merely *drive* an engine (recovery runner, query
+        registry, output adapter) define none and are out of scope.
         """
         for klass in self.mro(cls):
-            if klass.name == "Engine" or "_process_event" in klass.methods:
+            if klass.name == "Engine" or not ENGINE_LOOP_METHODS.isdisjoint(
+                klass.methods
+            ):
                 return True
         return "Engine" in _transitive_base_names(self, cls)
 
@@ -323,8 +330,8 @@ class _FunctionScanner(ast.NodeVisitor):
         """Self-attributes an expression may *alias* (directly or via alias).
 
         Call subtrees are skipped: a call returns a new object (or an
-        immutable view), so ``out = self._process_event(ev)`` must not
-        alias ``out`` to the ``_process_event`` attribute — only plain
+        immutable view), so ``out = self._loop(batch)`` must not
+        alias ``out`` to the ``_loop`` attribute — only plain
         attribute/subscript access propagates aliasing.
         """
         attrs: Set[str] = set()

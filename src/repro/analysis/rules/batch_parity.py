@@ -8,7 +8,8 @@ lacking any of the three either crashes those drivers or — worse —
 silently falls off the fast/recoverable path.
 
 The rule fires on every engine-protocol class (one that derives from
-``Engine`` or defines ``_process_event``) that defines a concrete
+``Engine`` or defines an event-loop method: ``_process_event``,
+``_loop`` or ``feed_batch``) that defines a concrete
 ``feed`` but does not define *or inherit* a concrete ``feed_batch``,
 ``snapshot``, or ``restore``.  Non-engine wrappers
 that happen to have a ``feed`` method (drivers, adapters, registries)

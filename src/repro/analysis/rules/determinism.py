@@ -11,7 +11,7 @@ in different orders and fail verification.
 
 The rule walks functions reachable from output-producing roots
 (``feed``/``feed_batch``/``feed_many``/``close``/``run``/``_flush``/
-``_process_event``/``_on_punctuation``/``_deliver``/``_emit`` methods
+``_loop``/``_process_event``/``_on_punctuation``/``_deliver``/``_emit`` methods
 of any analyzed class) and flags ``for``-loops and comprehensions whose
 iterable is set-typed: a set literal/constructor/comprehension, a
 ``self`` attribute declared or annotated as ``set``/``frozenset``
@@ -43,6 +43,7 @@ _ROOT_METHODS = frozenset(
         "run",
         "flush",
         "_flush",
+        "_loop",
         "_process_event",
         "_on_punctuation",
         "_deliver",

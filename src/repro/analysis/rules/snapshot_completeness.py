@@ -64,9 +64,16 @@ def _note(
     attr: str,
     line: int,
 ) -> None:
-    # Anchor at the declaring assignment (usually __init__) of the
-    # nearest MRO class that assigns the attr; fall back to the
-    # mutation site for attrs never directly assigned.
+    # Anchor at the declaring assignment: the nearest MRO class whose
+    # __init__ assigns the attr (so a subclass writing an inherited
+    # attr shares its base's anchor and suppression), else the nearest
+    # class assigning it anywhere; fall back to the mutation site for
+    # attrs never directly assigned.
+    for candidate in project.mro(klass):
+        init = candidate.methods.get("__init__")
+        if init is not None and attr in init.self_writes:
+            mutable.setdefault(attr, (candidate, init.self_writes[attr]))
+            return
     for candidate in project.mro(klass):
         if attr in candidate.assigned_attrs:
             mutable.setdefault(attr, (candidate, candidate.assigned_attrs[attr]))

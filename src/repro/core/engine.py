@@ -99,9 +99,14 @@ class EmissionRecord(NamedTuple):
 class Engine:
     """Common engine surface shared by every strategy in this library.
 
-    Subclasses implement :meth:`_process_event` and may extend
-    :meth:`_on_punctuation` / :meth:`_flush`.  The shared surface keeps
-    the bench harness strategy-agnostic.
+    Each engine processes events in one place, :meth:`_loop`: ``feed``
+    runs an event through it as a batch of one, and engines with a
+    fused loop (:class:`OutOfOrderEngine`, ``InOrderEngine``) run whole
+    batches through it from ``feed_batch``.  Engines without one
+    implement :meth:`_process_event`, which the base loop calls per
+    event.  Subclasses may extend :meth:`_on_punctuation` /
+    :meth:`_flush`.  The shared surface keeps the bench harness
+    strategy-agnostic.
     """
 
     def __init__(self, pattern: Pattern) -> None:
@@ -112,10 +117,10 @@ class Engine:
         self.validation = ValidationPolicy.RAISE
         self._arrival = 0
         self._closed = False
-        # Retained state as of the last per-element feed() or restore(),
-        # so a wrapper summing sub-engines reads one feed's size change
-        # without re-counting (PartitionedEngine's running total).  Batch
-        # fast paths and the instrumented feed do not maintain it.
+        # Retained state after the last element fed (left by the event
+        # loop, by feed() for punctuations, and by restore()), so a
+        # wrapper summing sub-engines reads one feed's size change
+        # without re-counting (PartitionedEngine's running total).
         self._fed_size = 0  # repro: ignore[R001] -- derived count, rebuilt on restore
         # Observability bundle (repro.obs.hooks.Observability), attached
         # via enable_observability().  None by default: the disabled hot
@@ -125,7 +130,11 @@ class Engine:
     # -- public API ------------------------------------------------------------
 
     def feed(self, element: StreamElement) -> List[Match]:
-        """Process one stream element; returns matches emitted *now*."""
+        """Process one stream element; returns matches emitted *now*.
+
+        An event runs through the engine's event loop as a batch of
+        one; a punctuation goes to :meth:`_on_punctuation`.
+        """
         if self._closed:
             raise EngineStateError(f"{type(self).__name__} is closed")
         if self._obs is not None:
@@ -136,12 +145,9 @@ class Engine:
                 return []
             raise admission_error(element)
         if is_event(element):
-            self._arrival += 1
-            self.stats.events_in += 1
-            emitted = self._process_event(element)
-        else:
-            self.stats.punctuations_in += 1
-            emitted = self._on_punctuation(element)
+            return self._loop((element,))
+        self.stats.punctuations_in += 1
+        emitted = self._on_punctuation(element)
         size = self._fed_size = self.state_size()
         self.stats.note_state_size(size)
         return emitted
@@ -151,9 +157,9 @@ class Engine:
 
         Semantically identical to ``for x in elements: feed(x)`` —
         emissions, counters and state trajectories match element for
-        element (the property suite pins this).  Engines with a batched
-        fast path override this to amortise per-element dispatch; the
-        base implementation is the reference loop.
+        element.  Engines with a fused loop run the whole batch through
+        it (the same loop ``feed`` runs each event through); the rest
+        feed element by element.
         """
         emitted: List[Match] = []
         for element in elements:
@@ -204,9 +210,10 @@ class Engine:
 
         *tracer* is a :class:`repro.obs.Tracer` (or None for metrics
         only); *metrics* is a :class:`repro.obs.MetricsRegistry` (or
-        None for tracing only).  Returns the attached bundle.  Feeding
-        then routes through the instrumented mirror path — observably
-        identical results and counters, at instrumented cost.
+        None for tracing only).  Returns the attached bundle.  Each
+        element is then fed singly and classified around the engine's
+        own event loop — identical results and counters, at
+        instrumented cost.
         """
         from repro.obs.hooks import Observability
 
@@ -299,6 +306,22 @@ class Engine:
         return snapshots.decode_match(self.pattern, encoded)
 
     # -- subclass hooks ----------------------------------------------------------
+
+    def _loop(self, elements: Iterable[StreamElement]) -> List[Match]:
+        """The engine's event loop; leaves ``_fed_size`` at the state after it.
+
+        ``feed`` passes one screened event.  This base loop hands each
+        event to :meth:`_process_event`; engines with a fused loop
+        override it to take whole batches, punctuations included.
+        """
+        emitted: List[Match] = []
+        for event in elements:
+            self._arrival += 1
+            self.stats.events_in += 1
+            emitted.extend(self._process_event(event))
+            size = self._fed_size = self.state_size()
+            self.stats.note_state_size(size)
+        return emitted
 
     def _process_event(self, event: Event) -> List[Match]:
         raise NotImplementedError
@@ -491,12 +514,14 @@ class OutOfOrderEngine(Engine):
 
     # -- load shedding ------------------------------------------------------------
 
-    def _shed_overflow(self) -> None:
+    def _shed_overflow(self) -> int:
         """Drop stored elements until the configured state bound holds.
 
         Runs after each processed element when a :class:`ShedPolicy` is
-        configured.  Purely a function of retained state and the policy,
-        so shed engines stay deterministic (and snapshot-restorable).
+        configured, and returns how many stored elements it dropped (the
+        event loop keeps its running state count with it).  Purely a
+        function of retained state and the policy, so shed engines stay
+        deterministic (and snapshot-restorable).
         Pending matches are results-in-waiting, not reconstructible
         store state, so they are never shed and do not count against the
         bound.
@@ -505,7 +530,7 @@ class OutOfOrderEngine(Engine):
         stored = self.stacks.size() + self.negatives.size() + self.kleene_store.size()
         excess = stored - policy.max_state
         if excess <= 0:
-            return
+            return 0
         shed = 0
         # Victim preview is tracing-only: the uninstrumented path never
         # materialises these lists.
@@ -568,68 +593,9 @@ class OutOfOrderEngine(Engine):
         self.stats.events_shed += shed
         if collect and casualties:
             self._obs.note_shed(self, casualties)
+        return shed
 
     # -- processing ----------------------------------------------------------------
-
-    def _process_event(self, event: Event) -> List[Match]:
-        emitted: List[Match] = []
-        if self._controller is not None:
-            # Before lateness triage: the estimator must see the delays
-            # the current bound drops, or K could never grow out of an
-            # under-provisioned start.
-            self._controller.observe(event)
-        if self.clock.is_late(event):
-            if self.late_policy is LatePolicy.RAISE:
-                raise DisorderBoundViolation(event, self.clock.now, self.clock.k or 0)
-            if self.late_policy is LatePolicy.DROP:
-                self.stats.late_dropped += 1
-                return emitted
-            # LatePolicy.PROCESS falls through: best effort.
-            self.stats.late_dropped += 1
-
-        if self.clock.observe(event):
-            self.stats.out_of_order_events += 1
-
-        if not self.scanner.relevant(event):
-            self.stats.events_ignored += 1
-        else:
-            side_stored = False
-            if self.negatives.relevant(event.etype):
-                self.negatives.insert(event)
-                side_stored = True
-            if self.kleene_store.relevant(event.etype):
-                self.kleene_store.insert(event)
-                side_stored = True
-            if side_stored:
-                self.stats.events_admitted += 1
-            steps = self.scanner.admissible_steps(event)
-            if steps:
-                if not side_stored:
-                    self.stats.events_admitted += 1
-                instance = Instance(event, self._arrival)
-                for step_index in steps:
-                    self.stacks[step_index].insert(instance)
-                    if self.scanner.construction_feasible(
-                        self.stacks, step_index, event, self.stats
-                    ):
-                        for match in self.constructor.construct(
-                            self.stacks, step_index, instance, self.stats
-                        ):
-                            self._route(match, emitted)
-            elif not side_stored:
-                self.stats.events_ignored += 1
-
-        self._release_ripe(emitted)
-        if self.purge_policy.due():
-            if self._obs is not None:
-                self._obs.note_purge(self)
-            self.purger.run(
-                self.clock.horizon(), self.stacks, self.negatives,
-                self.stats, kleene=self.kleene_store,
-            )
-        if self.shed is not None:
-            self._shed_overflow()
-        return emitted
 
     def _on_punctuation(self, punctuation: Punctuation) -> List[Match]:
         self.clock.observe_punctuation(punctuation)
@@ -672,15 +638,12 @@ class OutOfOrderEngine(Engine):
         if self._obs is not None:
             self._obs.note_refreeze(self, decision)
 
-    # -- batched fast path ---------------------------------------------------------
-
     def _post_event(self, event: Event) -> None:
-        """Batch-path hook mirroring per-event subclass extensions.
+        """Per-event subclass hook, called by :meth:`_loop` after each event.
 
-        Subclasses that extend :meth:`_process_event` with extra
-        per-event work that must run even for late-dropped events (the
-        aggressive engine's revocation scan) override this so
-        :meth:`feed_batch` stays identical to per-event feeding.
+        Runs for late-dropped events too; the aggressive engine's
+        revocation scan overrides it.  The loop pays the call only when
+        a subclass overrides it.
         """
 
     def _ripe_possible(self) -> bool:
@@ -693,12 +656,25 @@ class OutOfOrderEngine(Engine):
         return bool(self.pending._heap)
 
     def feed_batch(self, elements: Iterable[StreamElement]) -> List[Match]:
-        """Batched hot path: one tight loop instead of a feed() per element.
+        """Run the whole batch through :meth:`_loop`, the loop ``feed`` uses.
 
-        Observable behaviour — emissions, every counter, the state
-        trajectory, even exceptions — is identical to feeding the
-        elements one at a time (pinned by the batch property suite).
-        The amortisations are purely mechanical:
+        With observability attached each element is fed singly, so the
+        bundle can classify it; its events still run through the loop.
+        """
+        if self._closed:
+            raise EngineStateError(f"{type(self).__name__} is closed")
+        if self._obs is not None:
+            return Engine.feed_batch(self, elements)
+        return self._loop(elements)
+
+    def _loop(self, elements: Iterable[StreamElement]) -> List[Match]:
+        """The engine's one event loop: the module docstring's six steps.
+
+        ``feed`` runs each event through it as a batch of one and
+        ``feed_batch`` runs whole batches, so emissions, every counter,
+        the state trajectory and even exceptions are identical however
+        a stream is split (the batch property suite pins this).  The
+        amortisations are purely mechanical:
 
         * attribute lookups, clock arithmetic and purge scheduling are
           hoisted out of the per-element path;
@@ -707,31 +683,19 @@ class OutOfOrderEngine(Engine):
         * purge scans that provably cannot drop anything (horizon
           unmoved, no insert at or below a purge threshold) are elided,
           keeping only their schedule bookkeeping;
-        * the per-element state-size high-water mark is tracked
-          incrementally instead of re-summing every store.
+        * retained state is counted once per call, then kept as a
+          running count instead of re-summing every store per element.
 
-        The stream clock is advanced exactly as in per-event feeding, so
-        lateness decisions and seal timing are unchanged — batching
-        never trades correctness or K-semantics for speed.
+        A punctuation ends a run of events: the hoisted counters are
+        flushed, :meth:`_on_punctuation` runs (a controller may re-freeze
+        K there), and the next run re-reads the clock.  The stream clock
+        is advanced exactly as per element, so lateness decisions and
+        seal timing never depend on how the stream was batched.
         """
-        if self._closed:
-            raise EngineStateError(f"{type(self).__name__} is closed")
-        if self.shed is not None or self._obs is not None or self._controller is not None:
-            # Shedding re-checks the state bound after every element,
-            # observability classifies per-element stat deltas, and a
-            # controller consumes every arrival as a delay observation —
-            # bookkeeping the fused loop does not model.  Take the
-            # reference loop (same precedent as the spill-backed
-            # reorder buffer); overload survival / introspection, not
-            # throughput, is what those configurations optimise for.
-            # Speculation, by contrast, stays on the fast path: it hooks
-            # _route/_decide, which the fused loop calls unmodified.
-            return Engine.feed_batch(self, elements)
         emitted: List[Match] = []
         stats = self.stats
         clock = self.clock
         pattern = self.pattern
-        scanner = self.scanner
         stacks = self.stacks
         stack_list = stacks.stacks
         stack_keys = [stack._keys for stack in stack_list]
@@ -739,21 +703,22 @@ class OutOfOrderEngine(Engine):
         kleene = self.kleene_store
         pending_heap = self.pending._heap
         purge_policy = self.purge_policy
-        probe = scanner.optimize
+        purge = self.purger.run
+        probe = self.scanner.optimize
         construct = self.constructor.construct
         route = self._route
-        dispatch = scanner.dispatch()
+        dispatch = self.scanner._dispatch
         relevant_types = pattern.relevant_types
-        has_negatives = bool(pattern.negated_types)
-        has_kleene = bool(pattern.kleene_types)
-        neg_relevant = negatives.relevant
-        kleene_relevant = kleene.relevant
+        negated_types = pattern.negated_types
+        kleene_types = pattern.kleene_types
+        # Stores a pattern never fills are not handed to the purger.
+        side_negatives = negatives if negated_types else None
+        side_kleene = kleene if kleene_types else None
         neg_insert = negatives.insert
         kleene_insert = kleene.insert
         window = pattern.within
-        length = pattern.length
-        final_step = length - 1
-        step_range = list(range(length))
+        final_step = pattern.length - 1
+        step_range = range(pattern.length)
         late_policy = self.late_policy
         drop_late = late_policy is LatePolicy.DROP
         raise_late = late_policy is LatePolicy.RAISE
@@ -761,42 +726,54 @@ class OutOfOrderEngine(Engine):
         purge_eager = purge_mode is PurgeMode.EAGER
         purge_lazy = purge_mode is PurgeMode.LAZY
         purge_interval = purge_policy.interval
-        since_last = purge_policy._since_last
         quarantine = self.validation is ValidationPolicy.QUARANTINE
-        quarantined = 0
+        obs = self._obs
+        shed = self.shed
+        # The controller sees every arrival before lateness triage, so
+        # its estimator learns the delays the current bound drops.
+        observe = self._controller.observe if self._controller is not None else None
         # Subclass hooks: pay the per-event call only when overridden.
         post_event = (
             self._post_event
             if type(self)._post_event is not OutOfOrderEngine._post_event
             else None
         )
-        plain_ripe = type(self)._ripe_possible is OutOfOrderEngine._ripe_possible
-        ripe_possible = self._ripe_possible
-        # Clock state, mirrored locally; writes go through so emission
-        # bookkeeping (clock.now at _decide time) stays exact.
-        k = clock.k
-        max_ts = clock._max_ts
-        observations = 0
-        horizon = clock.horizon()
-        # Incremental state-size tracking for the peak high-water mark.
-        store_size = stacks.size() + negatives.size() + kleene.size()
-        peak = stats.peak_state_size
-        # Flow counters, accumulated locally and flushed on exit.
-        events_in = events_admitted = events_ignored = 0
-        late_dropped = out_of_order = 0
-        purge_runs = instances_purged = side_purged = skipped_by_probe = 0
-        # Purge elision: a due purge is skipped (bookkeeping only) when
-        # the horizon has not advanced past the last scanned one and no
-        # insert landed at or below a purge threshold since.
-        purged_at = -2
-        dirty = True
-        try:
-            for element in elements:
-                if isinstance(element, Event):
+        ripe_possible = (
+            self._ripe_possible
+            if type(self)._ripe_possible is not OutOfOrderEngine._ripe_possible
+            else None
+        )
+        iterator = iter(elements)
+        self._fed_size = self.state_size()
+        while True:
+            # Clock state, mirrored locally; writes go through so
+            # emission bookkeeping (clock.now at _decide time) stays
+            # exact.  K is re-read per run: a re-freeze may change it.
+            k = clock._k
+            max_ts = clock._max_ts
+            horizon = clock.horizon()
+            since_last = purge_policy._since_last
+            store_size = self._fed_size - len(pending_heap)
+            peak = stats.peak_state_size
+            # Flow counters, accumulated locally and flushed per run.
+            observations = quarantined = 0
+            events_in = events_admitted = events_ignored = 0
+            late_dropped = out_of_order = 0
+            elided_purges = skipped_by_probe = 0
+            # Purge elision: a due purge is skipped (bookkeeping only)
+            # when the horizon has not advanced past the last scanned
+            # one and no insert landed at or below a purge threshold.
+            purged_at = -2
+            dirty = True
+            punctuation: Optional[Punctuation] = None
+            try:
+                for element in iterator:
+                    if not isinstance(element, Event):
+                        punctuation = element
+                        break
                     ts = element.ts
                     etype = element.etype
-                    # Inlined admission screen (mirrors malformed_reason;
-                    # feed() applies the same check per element).
+                    # Inlined admission screen (mirrors malformed_reason).
                     if (
                         type(ts) is not int
                         or ts < 0
@@ -809,6 +786,8 @@ class OutOfOrderEngine(Engine):
                         raise admission_error(element)
                     self._arrival += 1
                     events_in += 1
+                    if observe is not None:
+                        observe(element)
                     was_late = ts <= horizon
                     if was_late:
                         if raise_late:
@@ -834,11 +813,11 @@ class OutOfOrderEngine(Engine):
                         events_ignored += 1
                     else:
                         side_stored = False
-                        if has_negatives and neg_relevant(etype):
+                        if etype in negated_types:
                             neg_insert(element)
                             side_stored = True
                             store_size += 1
-                        if has_kleene and kleene_relevant(etype):
+                        if etype in kleene_types:
                             kleene_insert(element)
                             side_stored = True
                             store_size += 1
@@ -896,7 +875,7 @@ class OutOfOrderEngine(Engine):
                         else:
                             events_ignored += 1
 
-                    if pending_heap or (not plain_ripe and ripe_possible()):
+                    if pending_heap or (ripe_possible is not None and ripe_possible()):
                         self._release_ripe(emitted)
                     if purge_eager:
                         due = True
@@ -910,70 +889,53 @@ class OutOfOrderEngine(Engine):
                     else:
                         due = False
                     if due and horizon >= 0:
+                        if obs is not None:
+                            obs.note_purge(self)
                         if dirty or horizon > purged_at:
-                            # Inlined purge (mirrors Purger.run), with an
-                            # O(1) per-stack pre-check before each cut.
-                            nonfinal_cut = horizon - window
-                            for j in step_range:
-                                cut = horizon + 1 if j == final_step else nonfinal_cut
-                                keys = stack_keys[j]
-                                if keys and keys[0][0] <= cut:
-                                    dropped = stack_list[j].purge_through(cut)
-                                    instances_purged += dropped
-                                    store_size -= dropped
-                            if has_negatives:
-                                dropped = negatives.purge_through(nonfinal_cut)
-                                side_purged += dropped
-                                store_size -= dropped
-                            if has_kleene:
-                                dropped = kleene.purge_through(nonfinal_cut)
-                                side_purged += dropped
-                                store_size -= dropped
+                            store_size -= purge(
+                                horizon, stacks, side_negatives, stats, side_kleene
+                            )
                             purged_at = horizon
                             dirty = False
-                        purge_runs += 1
+                        else:
+                            elided_purges += 1
+                    if shed is not None:
+                        store_size -= self._shed_overflow()
                     size_now = store_size + len(pending_heap)
                     if size_now > peak:
                         peak = size_now
                     if post_event is not None:
                         post_event(element)
-                else:
-                    if malformed_reason(element) is not None:
-                        if quarantine:
-                            quarantined += 1
-                            continue
-                        raise admission_error(element)
-                    # Punctuations are rare: run the exact per-element
-                    # path, then resynchronise the hoisted locals.
-                    stats.punctuations_in += 1
-                    clock._observations += observations
-                    observations = 0
-                    purge_policy._since_last = since_last
-                    emitted.extend(self._on_punctuation(element))
-                    max_ts = clock._max_ts
-                    horizon = clock.horizon()
-                    since_last = purge_policy._since_last
-                    store_size = stacks.size() + negatives.size() + kleene.size()
-                    purged_at = -2
-                    dirty = True
-                    size_now = store_size + len(pending_heap)
-                    if size_now > peak:
-                        peak = size_now
-        finally:
-            clock._observations += observations
-            purge_policy._since_last = since_last
-            stats.peak_state_size = peak
-            stats.events_quarantined += quarantined
-            stats.events_in += events_in
-            stats.events_admitted += events_admitted
-            stats.events_ignored += events_ignored
-            stats.late_dropped += late_dropped
-            stats.out_of_order_events += out_of_order
-            stats.purge_runs += purge_runs
-            stats.instances_purged += instances_purged
-            stats.negatives_purged += side_purged
-            stats.construction_skipped_by_probe += skipped_by_probe
-        return emitted
+            finally:
+                clock._observations += observations
+                purge_policy._since_last = since_last
+                self._fed_size = store_size + len(pending_heap)
+                stats.peak_state_size = peak
+                # A batch of one leaves most counters at zero; skip those.
+                if events_in:
+                    stats.events_in += events_in
+                    stats.events_admitted += events_admitted
+                    stats.events_ignored += events_ignored
+                    stats.purge_runs += elided_purges
+                    if late_dropped:
+                        stats.late_dropped += late_dropped
+                    if out_of_order:
+                        stats.out_of_order_events += out_of_order
+                    if skipped_by_probe:
+                        stats.construction_skipped_by_probe += skipped_by_probe
+                if quarantined:
+                    stats.events_quarantined += quarantined
+            if punctuation is None:
+                return emitted
+            if malformed_reason(punctuation) is not None:
+                if quarantine:
+                    stats.events_quarantined += 1
+                    continue
+                raise admission_error(punctuation)
+            stats.punctuations_in += 1
+            emitted.extend(self._on_punctuation(punctuation))
+            self._fed_size = self.state_size()
+            stats.note_state_size(self._fed_size)
 
     def _flush(self) -> List[Match]:
         emitted: List[Match] = []

@@ -101,24 +101,25 @@ class InOrderEngine(Engine):
         for predicate in pattern.positive_predicates:
             earliest = min(position[v] for v in predicate.variables())
             self._desc_staged[earliest].append(predicate)
-        # Per-step local predicates (single-variable), resolved once so
-        # admission does not re-filter the staged lists per event.
-        self._local: List[List] = []
+        # Event type → ((step_index, var, local predicates), …), so
+        # admission is a single dict probe.  Local predicates are the
+        # single-variable ones, resolved once here.
+        local: List[Tuple] = []
         for step in pattern.positive_steps:
             staged = pattern.staged.get(step.var, [])
-            self._local.append([p for p in staged if p.variables() == {step.var}])
-        # Event type → ((step_index, var, local predicates), …), so the
-        # batched path admits with a single dict probe.
+            local.append(tuple(p for p in staged if p.variables() == {step.var}))
         self._admission: Dict[str, Tuple] = {}
         for etype, steps in pattern.steps_of_type.items():
             self._admission[etype] = tuple(
-                (index, self._vars[index], tuple(self._local[index])) for index in steps
+                (index, self._vars[index], local[index]) for index in steps
             )
 
     # -- state ---------------------------------------------------------------
 
     def state_size(self) -> int:
-        stacked = sum(len(stack) for stack in self.stacks)
+        stacked = 0
+        for stack in self.stacks:
+            stacked += len(stack)
         return (
             stacked
             + self.negatives.size()
@@ -164,41 +165,6 @@ class InOrderEngine(Engine):
 
     # -- processing -------------------------------------------------------------
 
-    def _process_event(self, event: Event) -> List[Match]:
-        emitted: List[Match] = []
-        if self.clock.observe(event):
-            self.stats.out_of_order_events += 1
-
-        if event.etype not in self.pattern.relevant_types:
-            self.stats.events_ignored += 1
-        else:
-            admitted = False
-            if self.negatives.relevant(event.etype):
-                self.negatives.insert(event)
-                admitted = True
-            if self.kleene_store.relevant(event.etype):
-                self.kleene_store.insert(event)
-                admitted = True
-            for step_index in self.pattern.steps_of_type.get(event.etype, ()):
-                if not self._local_ok(step_index, event):
-                    continue
-                admitted = True
-                rip = len(self.stacks[step_index - 1]) if step_index > 0 else 0
-                instance = _RipInstance(event, self._arrival, rip)
-                self.stacks[step_index].append(instance)
-                if step_index == self.pattern.length - 1:
-                    for match in self._construct(instance):
-                        self._route(match, emitted)
-            if admitted:
-                self.stats.events_admitted += 1
-            else:
-                self.stats.events_ignored += 1
-
-        self._release_ripe(emitted)
-        if self.purge_policy.due():
-            self._purge()
-        return emitted
-
     def _on_punctuation(self, punctuation: Punctuation) -> List[Match]:
         self.clock.observe_punctuation(punctuation)
         emitted: List[Match] = []
@@ -213,26 +179,31 @@ class InOrderEngine(Engine):
             self._decide(match, emitted)
         return emitted
 
-    # -- batched fast path -------------------------------------------------------
-
     def feed_batch(self, elements: Iterable[StreamElement]) -> List[Match]:
-        """Batched hot path; observably identical to feeding one at a time.
+        """Run the whole batch through :meth:`_loop`, the loop ``feed`` uses.
 
-        Same playbook as :meth:`OutOfOrderEngine.feed_batch`: hoist
-        attribute lookups and clock/purge arithmetic into locals, admit
-        via the pre-resolved per-type table, accumulate flow counters
-        locally (flushed in ``finally``), and elide purge scans that are
-        provably no-ops (horizon unmoved and no insert landed at or
-        below a purge threshold since the last scan — elided runs still
-        count in ``stats.purge_runs``, exactly as the per-event path
-        counts its no-op scans).
+        With observability attached each element is fed singly, so the
+        bundle can classify it; its events still run through the loop.
         """
         if self._closed:
             raise EngineStateError(f"{type(self).__name__} is closed")
         if self._obs is not None:
-            # Observability classifies per-element stat deltas the fused
-            # loop does not model; take the reference loop.
             return Engine.feed_batch(self, elements)
+        return self._loop(elements)
+
+    def _loop(self, elements: Iterable[StreamElement]) -> List[Match]:
+        """The engine's one event loop (``feed`` passes a batch of one).
+
+        Same playbook as :meth:`OutOfOrderEngine._loop`: hoist attribute
+        lookups and clock/purge arithmetic into locals, admit via the
+        pre-resolved per-type table, keep retained state as a running
+        count, accumulate flow counters locally (flushed per run of
+        events), and elide purge scans that are provably no-ops
+        (horizon unmoved and no insert landed at or below a purge
+        threshold since the last scan — elided runs still count in
+        ``stats.purge_runs``).  A punctuation ends a run of events and
+        goes to :meth:`_on_punctuation`.
+        """
         emitted: List[Match] = []
         stats = self.stats
         clock = self.clock
@@ -244,41 +215,41 @@ class InOrderEngine(Engine):
         purge_policy = self.purge_policy
         relevant_types = pattern.relevant_types
         admission = self._admission
-        neg_relevant = negatives.relevant
-        kleene_relevant = kleene_store.relevant
+        negated_types = pattern.negated_types
+        kleene_types = pattern.kleene_types
         neg_insert = negatives.insert
         kleene_insert = kleene_store.insert
         construct = self._construct
         route = self._route
         window = pattern.within
         final = pattern.length - 1
-
         purge_mode = purge_policy.mode
         purge_eager = purge_mode is PurgeMode.EAGER
         purge_lazy = purge_mode is PurgeMode.LAZY
         purge_interval = purge_policy.interval
-        since_last = purge_policy._since_last
-
         quarantine = self.validation is ValidationPolicy.QUARANTINE
-        quarantined = 0
-        max_ts = clock._max_ts
-        horizon = clock.horizon()
-        observations = 0
-        stacked = sum(len(stack) for stack in stacks)
-        side_size = negatives.size() + kleene_store.size()
-        peak = stats.peak_state_size
-        events_in = 0
-        events_admitted = 0
-        events_ignored = 0
-        out_of_order = 0
-        predicate_evals = 0
-        # Purge-elision trackers: the horizon the last real scan ran at,
-        # and whether any insert since could sit at/below a threshold.
-        purged_at = -2
-        dirty = True
-        try:
-            for element in elements:
-                if isinstance(element, Event):
+        iterator = iter(elements)
+        self._fed_size = self.state_size()
+        while True:
+            max_ts = clock._max_ts
+            horizon = clock.horizon()
+            since_last = purge_policy._since_last
+            store_size = self._fed_size - len(pending_heap)
+            peak = stats.peak_state_size
+            observations = quarantined = 0
+            events_in = events_admitted = events_ignored = 0
+            out_of_order = predicate_evals = 0
+            # Purge-elision trackers: the horizon the last real scan ran
+            # at, and whether any insert since could sit at/below a
+            # threshold.
+            purged_at = -2
+            dirty = True
+            punctuation: Optional[Punctuation] = None
+            try:
+                for element in iterator:
+                    if not isinstance(element, Event):
+                        punctuation = element
+                        break
                     ts = element.ts
                     etype = element.etype
                     # Inlined admission screen (mirrors malformed_reason).
@@ -307,16 +278,16 @@ class InOrderEngine(Engine):
                         events_ignored += 1
                     else:
                         admitted = False
-                        if neg_relevant(etype):
+                        if etype in negated_types:
                             neg_insert(element)
                             admitted = True
-                            side_size += 1
+                            store_size += 1
                             if ts <= horizon - window:
                                 dirty = True
-                        if kleene_relevant(etype):
+                        if etype in kleene_types:
                             kleene_insert(element)
                             admitted = True
-                            side_size += 1
+                            store_size += 1
                             if ts <= horizon - window:
                                 dirty = True
                         entries = admission.get(etype)
@@ -337,7 +308,7 @@ class InOrderEngine(Engine):
                                 rip = len(stacks[step_index - 1]) if step_index > 0 else 0
                                 instance = _RipInstance(element, arrival, rip)
                                 stacks[step_index].append(instance)
-                                stacked += 1
+                                store_size += 1
                                 if step_index == final:
                                     if ts <= horizon + 1:
                                         dirty = True
@@ -364,50 +335,41 @@ class InOrderEngine(Engine):
                         due = False
                     if due and horizon >= 0:
                         if dirty or horizon > purged_at:
-                            self._purge()
+                            store_size -= self._purge()
                             purged_at = horizon
                             dirty = False
-                            stacked = sum(len(stack) for stack in stacks)
-                            side_size = negatives.size() + kleene_store.size()
                         else:
                             stats.purge_runs += 1
-                    size_now = stacked + side_size + len(pending_heap)
+                    size_now = store_size + len(pending_heap)
                     if size_now > peak:
                         peak = size_now
-                else:
-                    if malformed_reason(element) is not None:
-                        if quarantine:
-                            quarantined += 1
-                            continue
-                        raise admission_error(element)
-                    # Punctuations take the per-element path; sync the
-                    # hoisted locals across the call.
-                    stats.punctuations_in += 1
-                    clock._observations += observations
-                    observations = 0
-                    purge_policy._since_last = since_last
-                    emitted.extend(self._on_punctuation(element))
-                    max_ts = clock._max_ts
-                    horizon = clock.horizon()
-                    since_last = purge_policy._since_last
-                    stacked = sum(len(stack) for stack in stacks)
-                    side_size = negatives.size() + kleene_store.size()
-                    purged_at = -2
-                    dirty = True
-                    size_now = stacked + side_size + len(pending_heap)
-                    if size_now > peak:
-                        peak = size_now
-        finally:
-            clock._observations += observations
-            purge_policy._since_last = since_last
-            stats.peak_state_size = peak
-            stats.events_quarantined += quarantined
-            stats.events_in += events_in
-            stats.events_admitted += events_admitted
-            stats.events_ignored += events_ignored
-            stats.out_of_order_events += out_of_order
-            stats.predicate_evaluations += predicate_evals
-        return emitted
+            finally:
+                clock._observations += observations
+                purge_policy._since_last = since_last
+                self._fed_size = store_size + len(pending_heap)
+                stats.peak_state_size = peak
+                # A batch of one leaves most counters at zero; skip those.
+                if events_in:
+                    stats.events_in += events_in
+                    stats.events_admitted += events_admitted
+                    stats.events_ignored += events_ignored
+                    if out_of_order:
+                        stats.out_of_order_events += out_of_order
+                    if predicate_evals:
+                        stats.predicate_evaluations += predicate_evals
+                if quarantined:
+                    stats.events_quarantined += quarantined
+            if punctuation is None:
+                return emitted
+            if malformed_reason(punctuation) is not None:
+                if quarantine:
+                    stats.events_quarantined += 1
+                    continue
+                raise admission_error(punctuation)
+            stats.punctuations_in += 1
+            emitted.extend(self._on_punctuation(punctuation))
+            self._fed_size = self.state_size()
+            stats.note_state_size(self._fed_size)
 
     # -- construction (RIP descent) --------------------------------------------------
 
@@ -469,18 +431,6 @@ class InOrderEngine(Engine):
                 return False
         return True
 
-    def _local_ok(self, step_index: int, event: Event) -> bool:
-        local = self._local[step_index]
-        if not local:
-            return True
-        step = self.pattern.positive_steps[step_index]
-        bindings = {step.var: event}
-        for predicate in local:
-            self.stats.predicate_evaluations += 1
-            if not predicate.evaluate(bindings):
-                return False
-        return True
-
     # -- negation / purge ---------------------------------------------------------------
 
     def _route(self, match: Match, emitted: List[Match]) -> None:
@@ -519,10 +469,11 @@ class InOrderEngine(Engine):
             self._decide(match, emitted)
         self.stats.matches_pending = len(self.pending)
 
-    def _purge(self) -> None:
+    def _purge(self) -> int:
+        """Purge at the current horizon; returns how many stored elements went."""
         horizon = self.clock.horizon()
         if horizon < 0:
-            return
+            return 0
         final = self.pattern.length - 1
         dropped = 0
         for index, stack in enumerate(self.stacks):
@@ -545,10 +496,8 @@ class InOrderEngine(Engine):
                 stack[:] = kept
                 dropped += removed
         self.stats.instances_purged += dropped
-        self.stats.negatives_purged += self.negatives.purge_through(
-            horizon - self.pattern.within
-        )
-        self.stats.negatives_purged += self.kleene_store.purge_through(
-            horizon - self.pattern.within
-        )
+        side = self.negatives.purge_through(horizon - self.pattern.within)
+        side += self.kleene_store.purge_through(horizon - self.pattern.within)
+        self.stats.negatives_purged += side
         self.stats.purge_runs += 1
+        return dropped + side

@@ -431,18 +431,15 @@ def _run_partition(payload):
     engine = OutOfOrderEngine(
         pattern, k=k, purge=purge, late_policy=late_policy, index=index
     )
-    metrics_state = None
+    registry = None
     if instrument:
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
         engine.enable_observability(metrics=registry)
-        engine.feed_batch(events)
-        engine.close()
-        metrics_state = registry.snapshot_state()
-    else:
-        engine.feed_batch(events)
-        engine.close()
+    engine.feed_batch(events)
+    engine.close()
+    metrics_state = registry.snapshot_state() if registry is not None else None
     return engine.results, engine.stats, metrics_state
 
 

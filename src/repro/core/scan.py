@@ -22,6 +22,11 @@ arriving event it decides:
 The probes are *necessary* conditions, deliberately cheap (O(pattern
 length) using the stacks' min/max timestamps); construction still
 performs the exact checks.
+
+``OutOfOrderEngine._loop`` inlines all three steps, reading the
+per-type admission table from :meth:`SequenceScanner.dispatch`; the
+methods below are the operator's reference definitions (unit-tested
+in ``tests/core/test_scan.py``).
 """
 
 from __future__ import annotations
@@ -54,23 +59,19 @@ class SequenceScanner:
         # Local predicates: staged predicates that mention exactly one
         # variable can be checked at admission time, before any state
         # is created.
-        self._local: List[List[Predicate]] = []
+        local: List[Tuple[Predicate, ...]] = []
         for step in pattern.positive_steps:
             staged = pattern.staged.get(step.var, [])
-            self._local.append([p for p in staged if p.variables() == {step.var}])
+            local.append(tuple(p for p in staged if p.variables() == {step.var}))
         # Pre-resolved dispatch: event type → ((step_index, var, local
         # predicates), …) so admission is a single dict probe with the
-        # predicate lists already bound per step.  The batched engine
-        # paths iterate this directly instead of re-deriving it per
+        # predicate lists already bound per step.  The engine's event
+        # loop iterates this directly instead of re-deriving it per
         # arrival.
         self._dispatch: Dict[str, Tuple[Tuple[int, str, Tuple[Predicate, ...]], ...]] = {}
         for etype, steps in pattern.steps_of_type.items():
             self._dispatch[etype] = tuple(
-                (
-                    index,
-                    pattern.positive_steps[index].var,
-                    tuple(self._local[index]),
-                )
+                (index, pattern.positive_steps[index].var, local[index])
                 for index in steps
             )
 
@@ -105,14 +106,6 @@ class SequenceScanner:
             if all(p.evaluate(bindings) for p in predicates):
                 admitted.append(index)
         return admitted
-
-    def _local_ok(self, step_index: int, event: Event) -> bool:
-        predicates = self._local[step_index]
-        if not predicates:
-            return True
-        var = self.pattern.positive_steps[step_index].var
-        bindings = {var: event}
-        return all(p.evaluate(bindings) for p in predicates)
 
     # -- feasibility probes ----------------------------------------------------
 

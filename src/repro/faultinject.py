@@ -237,9 +237,9 @@ class FaultInjector:
         elif isinstance(engine, InOrderEngine):
             purge = engine._purge
 
-            def crashing_purge() -> None:
+            def crashing_purge() -> int:
                 self.on_purge()
-                purge()
+                return purge()
 
             engine._purge = crashing_purge
         else:

@@ -1,16 +1,19 @@
 """The engine-side observability bundle.
 
 :class:`Observability` is what ``Engine.enable_observability()``
-attaches.  It owns the tracer and the metric handles and implements the
-instrumented mirror of ``Engine.feed``: when ``engine._obs`` is set,
-``feed`` delegates here, and this module classifies what happened to
-each element (from counter deltas — the engine's processing code runs
-unmodified), records lifecycle spans, and updates the registry.
+attaches.  It owns the tracer and the metric handles and wraps
+classification around ``Engine.feed``: when ``engine._obs`` is set,
+``feed`` (and ``feed_batch``, element by element) delegates here, and
+this module runs the element through the engine's own event loop or
+punctuation handler, then classifies what happened to it from counter
+deltas, records lifecycle spans, and updates the registry.  Hooks the
+loop calls at event granularity (``note_purge``, ``note_shed``,
+``note_pending``…) cost one ``_obs is not None`` check when disabled.
 
 Cost contract, pinned by experiment E18:
 
 * **disabled** (the default) — ``Engine.feed`` pays one attribute
-  check; the fused ``feed_batch`` loops pay one check per *batch*;
+  check; the engines' event loops read ``_obs`` once per call;
 * **metrics only** — a handful of counter/histogram updates per
   element, no allocation beyond the histogram's int bumps;
 * **tracing** — span allocation per element plus the fine-grained
@@ -23,9 +26,9 @@ through ``tests/analysis``'s tree-wide gate).
 
 Parity is load-bearing: an instrumented engine must produce exactly
 the same results, emissions, and counters as a plain one.  The
-classification reads stat deltas and re-evaluates predicates *without*
-passing ``stats``; the test suite pins instrumented == plain across
-every family.
+processing code is the engine's own; classification reads stat deltas
+and re-evaluates predicates *without* passing ``stats``.  The test
+suite pins instrumented == plain across every family.
 """
 
 from __future__ import annotations
@@ -255,11 +258,12 @@ class Observability:
     # -- the instrumented feed path ---------------------------------------------
 
     def feed(self, engine: Any, element: Any) -> List[Any]:
-        """Instrumented mirror of ``Engine.feed``.
+        """``Engine.feed`` with classification around the engine's own code.
 
-        Must stay observably identical to the plain path: same
-        admission screening, same counter updates, same state-size
-        bookkeeping (the parity tests pin this element for element).
+        Same admission screening, same processing (events run through
+        the engine's event loop as a batch of one, punctuations through
+        its ``_on_punctuation``), same state-size bookkeeping; the
+        parity tests pin instrumented == plain element for element.
         """
         stats = engine.stats
         tracer = self.tracer
@@ -284,11 +288,13 @@ class Observability:
                 return []
             raise admission_error(element)
         if is_event(element):
+            # The loop leaves the state size counted and noted.
             emitted = self._feed_event(engine, element, stats, tracer, tracing)
+            size = engine._fed_size
         else:
             emitted = self._feed_punctuation(engine, element, stats, tracer, tracing)
-        size = engine.state_size()
-        stats.note_state_size(size)
+            size = engine._fed_size = engine.state_size()
+            stats.note_state_size(size)
         if self.g_state is not None:
             self.g_state.set(size)
             self.h_state.observe(size)
@@ -304,8 +310,6 @@ class Observability:
     def _feed_event(
         self, engine: Any, event: Event, stats: Any, tracer: Any, tracing: bool
     ) -> List[Any]:
-        engine._arrival += 1
-        stats.events_in += 1
         before_partials = stats.partial_combinations
         before_predicates = stats.predicate_evaluations
         before_triggers = stats.construction_triggers
@@ -316,7 +320,7 @@ class Observability:
         before_ignored = stats.events_ignored
         before_shed = stats.events_shed
         before_purged = stats.instances_purged + stats.negatives_purged
-        emitted = engine._process_event(event)
+        emitted = engine._loop((event,))
         arrival = engine._arrival
         if tracing:
             if stats.late_dropped > before_late:

@@ -71,6 +71,17 @@ def test_r003_flags_set_iteration_on_output_path():
     assert "sorted" in findings[0].message
 
 
+def test_r002_r003_walk_a_fused_loop_without_process_event():
+    # The engine's only loop is feed_batch: no _process_event hook and
+    # no Engine base marks it, yet both path rules must still see it.
+    findings = analyze("bad_fused_loop.py", HotPathPurity())
+    assert [(f.rule, f.line) for f in findings] == [("R002", 20)]
+    assert "time.monotonic" in findings[0].message
+    assert "feed_batch" in findings[0].symbol
+    findings = analyze("bad_fused_loop.py", Determinism())
+    assert [(f.rule, f.line) for f in findings] == [("R003", 21)]
+
+
 def test_r004_flags_missing_protocol_methods():
     findings = analyze("bad_r004.py", BatchParity())
     assert sorted(f.symbol for f in findings) == [
@@ -157,7 +168,7 @@ def test_full_run_over_fixture_dir_counts_every_rule():
         "R008",
         "R009",
     }
-    assert report.checked_files == 11
+    assert report.checked_files == 12
 
 
 def test_r001_catches_field_dropped_from_real_engine(tmp_path):

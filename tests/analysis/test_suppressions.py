@@ -88,3 +88,29 @@ def test_symbol_header_suppression_covers_body(tmp_path):
     report = run_analysis([path], rules=[SnapshotCompleteness()])
     assert report.findings == []
     assert report.suppressed == 1
+
+
+def test_subclass_write_shares_the_declaring_suppression(tmp_path):
+    # The base declares and suppresses a derived count in __init__; a
+    # subclass's loop rebinding it is anchored (and suppressed) there.
+    text = (
+        "class Engine:\n"
+        "    def __init__(self):\n"
+        "        self._count = 0  # repro: ignore[R001] -- fixture\n"
+        "\n"
+        "    def _snapshot_state(self):\n"
+        "        return {}\n"
+        "\n"
+        "    def _restore_state(self, state):\n"
+        "        return None\n"
+        "\n"
+        "\n"
+        "class Fused(Engine):\n"
+        "    def _loop(self, elements):\n"
+        "        self._count = len(elements)\n"
+        "        return []\n"
+    )
+    path = _write(tmp_path, text)
+    report = run_analysis([path], rules=[SnapshotCompleteness()])
+    assert report.findings == []
+    assert report.suppressed == 1

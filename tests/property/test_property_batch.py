@@ -5,12 +5,15 @@ across random traces, disorder permutations, purge policies, batch
 sizes, and punctuations) is that an engine fed in batches is
 *indistinguishable* from the same engine fed one element at a time:
 same matches in the same emission order, same counters, same residual
-state, same clock.  Likewise ``ParallelPartitionedEngine`` must produce
-the serial ``PartitionedEngine``'s results for every worker count, and
-be byte-identical at ``workers=1``.
+state, same clock.  Load shedding and the adaptive-K controller ride
+along as drawn configuration: a re-freeze at a punctuation changes K
+mid-batch, and shedding moves the retained-state count.  Likewise
+``ParallelPartitionedEngine`` must produce the serial
+``PartitionedEngine``'s results for every worker count, and be
+byte-identical at ``workers=1``.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import (
     AggressiveEngine,
@@ -24,8 +27,10 @@ from repro import (
     Punctuation,
     PurgePolicy,
     ReorderingEngine,
+    ShedPolicy,
     seq,
 )
+from repro.streams.controller import AdaptiveKController
 from helpers import bounded_shuffle
 
 PATTERNS = [
@@ -87,7 +92,12 @@ def _snapshot(engine):
         "emissions": [(r.emitted_seq, r.emitted_clock) for r in engine.emissions],
         "stats": engine.stats.as_dict(),
         "state": engine.state_size(),
-        "clock": (engine.clock.now, engine.clock.horizon(), engine.clock.observations),
+        "clock": (
+            engine.clock.now,
+            engine.clock.horizon(),
+            engine.clock.k,
+            engine.clock.observations,
+        ),
     }
 
 
@@ -113,6 +123,28 @@ def _assert_batch_equals_serial(make_engine, elements, batch_size):
     assert _snapshot(batched) == _snapshot(serial)
 
 
+SHED_POLICIES = st.one_of(
+    st.none(),
+    st.builds(ShedPolicy.drop_oldest, st.integers(min_value=1, max_value=12)),
+    st.builds(
+        ShedPolicy.drop_by_type,
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from([("A",), ("B", "X"), ("C",)]),
+    ),
+)
+
+CONTROLLERS = st.one_of(
+    st.none(),
+    st.builds(
+        AdaptiveKController,
+        window=st.integers(min_value=4, max_value=64),
+        initial_k=st.integers(min_value=0, max_value=10),
+        max_k=st.sampled_from([None, 5, 25]),
+        min_epoch_events=st.integers(min_value=1, max_value=4),
+    ),
+)
+
+
 @given(
     trace=trace_strategy(),
     pattern_index=st.integers(min_value=0, max_value=len(PATTERNS)),
@@ -122,17 +154,40 @@ def _assert_batch_equals_serial(make_engine, elements, batch_size):
     purge_kind=st.sampled_from(["eager", "lazy", "none"]),
     interval=st.integers(min_value=1, max_value=32),
     punctuate=st.booleans(),
+    shed=SHED_POLICIES,
+    controller=CONTROLLERS,
 )
 @settings(max_examples=100, deadline=None)
+# A re-freeze at the mid-stream punctuation raises K from 2 to 11 inside
+# one batch; the events after it must be judged against the new bound.
+@example(
+    trace=[Event("A", 0, {"x": 0}, eid=1), Event("A", 12, {"x": 0}, eid=2)],
+    pattern_index=0,
+    k=2,
+    seed=0,
+    batch_size=3,
+    purge_kind="eager",
+    interval=1,
+    punctuate=True,
+    shed=None,
+    controller=AdaptiveKController(window=4, initial_k=0, min_epoch_events=1),
+)
 def test_ooo_feed_batch_is_observably_serial(
-    trace, pattern_index, k, seed, batch_size, purge_kind, interval, punctuate
+    trace, pattern_index, k, seed, batch_size, purge_kind, interval, punctuate,
+    shed, controller,
 ):
     pattern = (PATTERNS + [PART_PATTERN])[pattern_index]
     arrival = bounded_shuffle(trace, k=k, seed=seed)
     if punctuate:
         arrival = _with_punctuations(arrival)
     _assert_batch_equals_serial(
-        lambda: OutOfOrderEngine(pattern, k=k, purge=_purge(purge_kind, interval)),
+        lambda: OutOfOrderEngine(
+            pattern,
+            k=k,
+            purge=_purge(purge_kind, interval),
+            shed=shed,
+            controller=controller,
+        ),
         arrival,
         batch_size,
     )

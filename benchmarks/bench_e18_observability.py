@@ -37,9 +37,9 @@ import sys
 import time
 from pathlib import Path
 
-from repro.core.engine import OutOfOrderEngine, ValidationPolicy
+from repro.core.engine import OutOfOrderEngine
 from repro.core.errors import EngineStateError
-from repro.core.event import admission_error, is_event, malformed_reason
+from repro.core.event import Event
 from repro.metrics import render_histogram, render_table
 from repro.obs import MetricsRegistry, Tracer
 from repro.streams import RandomDelayModel
@@ -69,18 +69,9 @@ class _PrePRControl(OutOfOrderEngine):
     def feed(self, element):
         if self._closed:
             raise EngineStateError(f"{type(self).__name__} is closed")
-        if malformed_reason(element) is not None:
-            if self.validation is ValidationPolicy.QUARANTINE:
-                self.stats.events_quarantined += 1
-                return []
-            raise admission_error(element)
-        if is_event(element):
+        if isinstance(element, Event):
             return self._loop((element,))
-        self.stats.punctuations_in += 1
-        emitted = self._on_punctuation(element)
-        size = self._fed_size = self.state_size()
-        self.stats.note_state_size(size)
-        return emitted
+        return self._punctuate(element)
 
 
 def _arrival(events: int = EVENTS, rate: float = RATE):

@@ -44,7 +44,6 @@ from repro.core.event import (
     Punctuation,
     StreamElement,
     admission_error,
-    is_event,
     malformed_reason,
 )
 from repro.core.negation import collect_kleene, PendingMatches, seal_point, violated
@@ -104,9 +103,10 @@ class Engine:
     fused loop (:class:`OutOfOrderEngine`, ``InOrderEngine``) run whole
     batches through it from ``feed_batch``.  Engines without one
     implement :meth:`_process_event`, which the base loop calls per
-    event.  Subclasses may extend :meth:`_on_punctuation` /
-    :meth:`_flush`.  The shared surface keeps the bench harness
-    strategy-agnostic.
+    event.  Punctuations go through :meth:`_punctuate`, which calls
+    :meth:`_on_punctuation`.  Subclasses may extend
+    :meth:`_on_punctuation` / :meth:`_flush`.  The shared surface keeps
+    the bench harness strategy-agnostic.
     """
 
     def __init__(self, pattern: Pattern) -> None:
@@ -118,9 +118,10 @@ class Engine:
         self._arrival = 0
         self._closed = False
         # Retained state after the last element fed (left by the event
-        # loop, by feed() for punctuations, and by restore()), so a
-        # wrapper summing sub-engines reads one feed's size change
-        # without re-counting (PartitionedEngine's running total).
+        # loop, by _punctuate(), and by restore()).  The fused loops
+        # start their running count from it, and a wrapper summing
+        # sub-engines reads one feed's size change without re-counting
+        # (PartitionedEngine's running total).
         self._fed_size = 0  # repro: ignore[R001] -- derived count, rebuilt on restore
         # Observability bundle (repro.obs.hooks.Observability), attached
         # via enable_observability().  None by default: the disabled hot
@@ -133,24 +134,15 @@ class Engine:
         """Process one stream element; returns matches emitted *now*.
 
         An event runs through the engine's event loop as a batch of
-        one; a punctuation goes to :meth:`_on_punctuation`.
+        one, which screens it; anything else goes to :meth:`_punctuate`.
         """
         if self._closed:
             raise EngineStateError(f"{type(self).__name__} is closed")
         if self._obs is not None:
             return self._obs.feed(self, element)
-        if malformed_reason(element) is not None:
-            if self.validation is ValidationPolicy.QUARANTINE:
-                self.stats.events_quarantined += 1
-                return []
-            raise admission_error(element)
-        if is_event(element):
+        if isinstance(element, Event):
             return self._loop((element,))
-        self.stats.punctuations_in += 1
-        emitted = self._on_punctuation(element)
-        size = self._fed_size = self.state_size()
-        self.stats.note_state_size(size)
-        return emitted
+        return self._punctuate(element)
 
     def feed_batch(self, elements: Iterable[StreamElement]) -> List[Match]:
         """Process a batch of elements; returns matches emitted during it.
@@ -310,17 +302,43 @@ class Engine:
     def _loop(self, elements: Iterable[StreamElement]) -> List[Match]:
         """The engine's event loop; leaves ``_fed_size`` at the state after it.
 
-        ``feed`` passes one screened event.  This base loop hands each
-        event to :meth:`_process_event`; engines with a fused loop
-        override it to take whole batches, punctuations included.
+        ``feed`` passes one event, unscreened.  This base loop screens
+        each event and hands it to :meth:`_process_event`; engines with
+        a fused loop override it to take whole batches, punctuations
+        included, and screen inline.
         """
         emitted: List[Match] = []
+        stats = self.stats
         for event in elements:
+            if malformed_reason(event) is not None:
+                if self.validation is ValidationPolicy.QUARANTINE:
+                    stats.events_quarantined += 1
+                    continue
+                raise admission_error(event)
             self._arrival += 1
-            self.stats.events_in += 1
+            stats.events_in += 1
             emitted.extend(self._process_event(event))
             size = self._fed_size = self.state_size()
-            self.stats.note_state_size(size)
+            stats.note_state_size(size)
+        return emitted
+
+    def _punctuate(self, punctuation: Punctuation) -> List[Match]:
+        """Screen and apply one punctuation; leaves ``_fed_size`` current.
+
+        Shared by ``feed``, the fused loops (a punctuation ends a run of
+        events) and the partition router.  A malformed element that is
+        not an event lands here too and is quarantined or raised on.
+        """
+        stats = self.stats
+        if malformed_reason(punctuation) is not None:
+            if self.validation is ValidationPolicy.QUARANTINE:
+                stats.events_quarantined += 1
+                return []
+            raise admission_error(punctuation)
+        stats.punctuations_in += 1
+        emitted = self._on_punctuation(punctuation)
+        size = self._fed_size = self.state_size()
+        stats.note_state_size(size)
         return emitted
 
     def _process_event(self, event: Event) -> List[Match]:
@@ -443,6 +461,9 @@ class OutOfOrderEngine(Engine):
         self._has_brackets = bool(pattern.negated_types or pattern.kleene_types)
         self.pending = PendingMatches()
         self.purger = Purger(pattern.within, pattern.length)
+        # The event loop's construction-time invariants, bound on first
+        # use by _bind() and dropped whenever a bound store is replaced.
+        self._bound: Optional[tuple] = None  # repro: ignore[R001] -- derived binding, rebuilt after restore
 
     # -- state -------------------------------------------------------------------
 
@@ -511,6 +532,9 @@ class OutOfOrderEngine(Engine):
             self.speculation.restore_state(state["speculation"], self._decode_match)
         if self._controller is not None:
             self._controller.restore_state(state["controller"])
+        # The stacks' key lists and the pending heap were rebuilt.
+        self._bound = None
+        self._fed_size = self.state_size()
 
     # -- load shedding ------------------------------------------------------------
 
@@ -600,7 +624,8 @@ class OutOfOrderEngine(Engine):
     def _on_punctuation(self, punctuation: Punctuation) -> List[Match]:
         self.clock.observe_punctuation(punctuation)
         emitted: List[Match] = []
-        self._release_ripe(emitted)
+        if self._ripe_possible():
+            self._release_ripe(emitted)
         if self.purge_policy.due():
             if self._obs is not None:
                 self._obs.note_purge(self)
@@ -667,6 +692,65 @@ class OutOfOrderEngine(Engine):
             return Engine.feed_batch(self, elements)
         return self._loop(elements)
 
+    def _bind(self) -> tuple:
+        """Bind :meth:`_loop`'s construction-time invariants, once per engine.
+
+        These are the stores and their key lists, the pending heap, the
+        dispatch table, the purge/scan/construct callables, the
+        pattern's type sets and window, and which per-event hooks a
+        subclass overrides.  Restoring a snapshot rebuilds the key lists
+        and the heap, so :meth:`_restore_state` drops the binding (so
+        does arming a fault injector, which swaps the purger).
+        """
+        pattern = self.pattern
+        stacks = self.stacks
+        negatives = self.negatives
+        kleene = self.kleene_store
+        purge_policy = self.purge_policy
+        purge_mode = purge_policy.mode
+        # The engine's own methods are bound as class functions the loop
+        # calls with ``self``: bound methods here would make the engine
+        # a reference cycle, freed only by the cyclic collector.
+        cls = type(self)
+        bound = self._bound = (
+            self.stats,
+            self.clock,
+            stacks,
+            stacks.stacks,
+            [stack._keys for stack in stacks.stacks],
+            self.pending._heap,
+            purge_policy,
+            self.purger.run,
+            self.scanner.optimize,
+            self.constructor.construct,
+            cls._route,
+            cls._release_ripe,
+            self.scanner._dispatch,
+            pattern.relevant_types,
+            pattern.negated_types,
+            pattern.kleene_types,
+            # Stores a pattern never fills are not handed to the purger.
+            negatives if pattern.negated_types else None,
+            kleene if pattern.kleene_types else None,
+            negatives.insert,
+            kleene.insert,
+            pattern.within,
+            pattern.length - 1,
+            range(pattern.length),
+            purge_mode is PurgeMode.EAGER,
+            purge_mode is PurgeMode.LAZY,
+            purge_policy.interval,
+            # Subclass hooks: the loop pays the per-event call only when
+            # they are overridden.
+            cls._post_event
+            if cls._post_event is not OutOfOrderEngine._post_event
+            else None,
+            cls._ripe_possible
+            if cls._ripe_possible is not OutOfOrderEngine._ripe_possible
+            else None,
+        )
+        return bound
+
     def _loop(self, elements: Iterable[StreamElement]) -> List[Match]:
         """The engine's one event loop: the module docstring's six steps.
 
@@ -676,75 +760,47 @@ class OutOfOrderEngine(Engine):
         a stream is split (the batch property suite pins this).  The
         amortisations are purely mechanical:
 
-        * attribute lookups, clock arithmetic and purge scheduling are
+        * construction-time invariants are bound once per engine
+          (:meth:`_bind`); per call the loop reads only what a caller
+          may change (late policy, validation, shedding, controller,
+          observability), and clock arithmetic and purge scheduling are
           hoisted out of the per-element path;
         * admission uses the scanner's pre-resolved per-type dispatch
           table instead of re-deriving step lists per arrival;
         * purge scans that provably cannot drop anything (horizon
           unmoved, no insert at or below a purge threshold) are elided,
           keeping only their schedule bookkeeping;
-        * retained state is counted once per call, then kept as a
-          running count instead of re-summing every store per element.
+        * retained state is a running count, started from the
+          ``_fed_size`` every feed, punctuation and restore leaves
+          current, instead of re-summing every store per element.
 
         A punctuation ends a run of events: the hoisted counters are
-        flushed, :meth:`_on_punctuation` runs (a controller may re-freeze
-        K there), and the next run re-reads the clock.  The stream clock
-        is advanced exactly as per element, so lateness decisions and
-        seal timing never depend on how the stream was batched.
+        flushed, :meth:`_punctuate` applies it (a controller may
+        re-freeze K there), and the next run re-reads the clock.  The
+        stream clock is advanced exactly as per element, so lateness
+        decisions and seal timing never depend on how the stream was
+        batched.
         """
-        emitted: List[Match] = []
-        stats = self.stats
-        clock = self.clock
-        pattern = self.pattern
-        stacks = self.stacks
-        stack_list = stacks.stacks
-        stack_keys = [stack._keys for stack in stack_list]
-        negatives = self.negatives
-        kleene = self.kleene_store
-        pending_heap = self.pending._heap
-        purge_policy = self.purge_policy
-        purge = self.purger.run
-        probe = self.scanner.optimize
-        construct = self.constructor.construct
-        route = self._route
-        dispatch = self.scanner._dispatch
-        relevant_types = pattern.relevant_types
-        negated_types = pattern.negated_types
-        kleene_types = pattern.kleene_types
-        # Stores a pattern never fills are not handed to the purger.
-        side_negatives = negatives if negated_types else None
-        side_kleene = kleene if kleene_types else None
-        neg_insert = negatives.insert
-        kleene_insert = kleene.insert
-        window = pattern.within
-        final_step = pattern.length - 1
-        step_range = range(pattern.length)
+        (
+            stats, clock, stacks, stack_list, stack_keys, pending_heap,
+            purge_policy, purge, probe, construct, route, release_ripe,
+            dispatch, relevant_types, negated_types, kleene_types,
+            side_negatives, side_kleene, neg_insert, kleene_insert,
+            window, final_step, step_range, purge_eager, purge_lazy,
+            purge_interval, post_event, ripe_possible,
+        ) = self._bound or self._bind()
         late_policy = self.late_policy
         drop_late = late_policy is LatePolicy.DROP
         raise_late = late_policy is LatePolicy.RAISE
-        purge_mode = purge_policy.mode
-        purge_eager = purge_mode is PurgeMode.EAGER
-        purge_lazy = purge_mode is PurgeMode.LAZY
-        purge_interval = purge_policy.interval
         quarantine = self.validation is ValidationPolicy.QUARANTINE
         obs = self._obs
         shed = self.shed
         # The controller sees every arrival before lateness triage, so
         # its estimator learns the delays the current bound drops.
-        observe = self._controller.observe if self._controller is not None else None
-        # Subclass hooks: pay the per-event call only when overridden.
-        post_event = (
-            self._post_event
-            if type(self)._post_event is not OutOfOrderEngine._post_event
-            else None
-        )
-        ripe_possible = (
-            self._ripe_possible
-            if type(self)._ripe_possible is not OutOfOrderEngine._ripe_possible
-            else None
-        )
+        controller = self._controller
+        observe = controller.observe if controller is not None else None
+        emitted: List[Match] = []
         iterator = iter(elements)
-        self._fed_size = self.state_size()
         while True:
             # Clock state, mirrored locally; writes go through so
             # emission bookkeeping (clock.now at _decide time) stays
@@ -795,7 +851,7 @@ class OutOfOrderEngine(Engine):
                         late_dropped += 1
                         if drop_late:
                             if post_event is not None:
-                                post_event(element)
+                                post_event(self, element)
                             continue
                         # LatePolicy.PROCESS: best effort, falls through.
                     observations += 1
@@ -867,7 +923,7 @@ class OutOfOrderEngine(Engine):
                                     for match in construct(
                                         stacks, step_index, instance, stats
                                     ):
-                                        route(match, emitted)
+                                        route(self, match, emitted)
                         if was_late and side_stored:
                             dirty = True
                         if admitted or side_stored:
@@ -875,8 +931,10 @@ class OutOfOrderEngine(Engine):
                         else:
                             events_ignored += 1
 
-                    if pending_heap or (ripe_possible is not None and ripe_possible()):
-                        self._release_ripe(emitted)
+                    if pending_heap or (
+                        ripe_possible is not None and ripe_possible(self)
+                    ):
+                        release_ripe(self, emitted)
                     if purge_eager:
                         due = True
                     elif purge_lazy:
@@ -905,7 +963,7 @@ class OutOfOrderEngine(Engine):
                     if size_now > peak:
                         peak = size_now
                     if post_event is not None:
-                        post_event(element)
+                        post_event(self, element)
             finally:
                 clock._observations += observations
                 purge_policy._since_last = since_last
@@ -927,15 +985,7 @@ class OutOfOrderEngine(Engine):
                     stats.events_quarantined += quarantined
             if punctuation is None:
                 return emitted
-            if malformed_reason(punctuation) is not None:
-                if quarantine:
-                    stats.events_quarantined += 1
-                    continue
-                raise admission_error(punctuation)
-            stats.punctuations_in += 1
-            emitted.extend(self._on_punctuation(punctuation))
-            self._fed_size = self.state_size()
-            stats.note_state_size(self._fed_size)
+            emitted.extend(self._punctuate(punctuation))
 
     def _flush(self) -> List[Match]:
         emitted: List[Match] = []

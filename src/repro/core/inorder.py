@@ -49,7 +49,6 @@ from repro.core.event import (
     Punctuation,
     StreamElement,
     admission_error,
-    malformed_reason,
 )
 from repro.core.negation import collect_kleene, PendingMatches, seal_point, violated
 from repro.core.pattern import Match, Pattern
@@ -113,6 +112,9 @@ class InOrderEngine(Engine):
             self._admission[etype] = tuple(
                 (index, self._vars[index], local[index]) for index in steps
             )
+        # The event loop's construction-time invariants, bound on first
+        # use by _bind() and dropped whenever a bound store is replaced.
+        self._bound: Optional[tuple] = None  # repro: ignore[R001] -- derived binding, rebuilt after restore
 
     # -- state ---------------------------------------------------------------
 
@@ -162,6 +164,9 @@ class InOrderEngine(Engine):
         self.negatives.restore_state(state["negatives"])
         self.kleene_store.restore_state(state["kleene"])
         self.pending.restore_state(state["pending"], self._decode_match)
+        # The stacks and the pending heap were rebuilt.
+        self._bound = None
+        self._fed_size = self.state_size()
 
     # -- processing -------------------------------------------------------------
 
@@ -191,45 +196,63 @@ class InOrderEngine(Engine):
             return Engine.feed_batch(self, elements)
         return self._loop(elements)
 
+    def _bind(self) -> tuple:
+        """Bind :meth:`_loop`'s construction-time invariants, once per engine.
+
+        Restoring a snapshot rebuilds the stacks and the pending heap, so
+        :meth:`_restore_state` drops the binding.
+        """
+        pattern = self.pattern
+        purge_policy = self.purge_policy
+        purge_mode = purge_policy.mode
+        # Class functions the loop calls with ``self``: bound methods
+        # here would make the engine a reference cycle.
+        cls = type(self)
+        bound = self._bound = (
+            self.stats,
+            self.clock,
+            self.stacks,
+            self.pending._heap,
+            purge_policy,
+            pattern.relevant_types,
+            self._admission,
+            pattern.negated_types,
+            pattern.kleene_types,
+            self.negatives.insert,
+            self.kleene_store.insert,
+            cls._construct,
+            cls._route,
+            pattern.within,
+            pattern.length - 1,
+            purge_mode is PurgeMode.EAGER,
+            purge_mode is PurgeMode.LAZY,
+            purge_policy.interval,
+        )
+        return bound
+
     def _loop(self, elements: Iterable[StreamElement]) -> List[Match]:
         """The engine's one event loop (``feed`` passes a batch of one).
 
-        Same playbook as :meth:`OutOfOrderEngine._loop`: hoist attribute
-        lookups and clock/purge arithmetic into locals, admit via the
+        Same playbook as :meth:`OutOfOrderEngine._loop`: bind the
+        construction-time invariants once per engine (:meth:`_bind`),
+        hoist clock/purge arithmetic into locals, admit via the
         pre-resolved per-type table, keep retained state as a running
         count, accumulate flow counters locally (flushed per run of
         events), and elide purge scans that are provably no-ops
         (horizon unmoved and no insert landed at or below a purge
         threshold since the last scan — elided runs still count in
         ``stats.purge_runs``).  A punctuation ends a run of events and
-        goes to :meth:`_on_punctuation`.
+        goes to :meth:`_punctuate`.
         """
-        emitted: List[Match] = []
-        stats = self.stats
-        clock = self.clock
-        pattern = self.pattern
-        stacks = self.stacks
-        negatives = self.negatives
-        kleene_store = self.kleene_store
-        pending_heap = self.pending._heap
-        purge_policy = self.purge_policy
-        relevant_types = pattern.relevant_types
-        admission = self._admission
-        negated_types = pattern.negated_types
-        kleene_types = pattern.kleene_types
-        neg_insert = negatives.insert
-        kleene_insert = kleene_store.insert
-        construct = self._construct
-        route = self._route
-        window = pattern.within
-        final = pattern.length - 1
-        purge_mode = purge_policy.mode
-        purge_eager = purge_mode is PurgeMode.EAGER
-        purge_lazy = purge_mode is PurgeMode.LAZY
-        purge_interval = purge_policy.interval
+        (
+            stats, clock, stacks, pending_heap, purge_policy, relevant_types,
+            admission, negated_types, kleene_types, neg_insert, kleene_insert,
+            construct, route, window, final, purge_eager, purge_lazy,
+            purge_interval,
+        ) = self._bound or self._bind()
         quarantine = self.validation is ValidationPolicy.QUARANTINE
+        emitted: List[Match] = []
         iterator = iter(elements)
-        self._fed_size = self.state_size()
         while True:
             max_ts = clock._max_ts
             horizon = clock.horizon()
@@ -312,8 +335,8 @@ class InOrderEngine(Engine):
                                 if step_index == final:
                                     if ts <= horizon + 1:
                                         dirty = True
-                                    for match in construct(instance):
-                                        route(match, emitted)
+                                    for match in construct(self, instance):
+                                        route(self, match, emitted)
                                 elif ts <= horizon - window:
                                     dirty = True
                         if admitted:
@@ -361,15 +384,7 @@ class InOrderEngine(Engine):
                     stats.events_quarantined += quarantined
             if punctuation is None:
                 return emitted
-            if malformed_reason(punctuation) is not None:
-                if quarantine:
-                    stats.events_quarantined += 1
-                    continue
-                raise admission_error(punctuation)
-            stats.punctuations_in += 1
-            emitted.extend(self._on_punctuation(punctuation))
-            self._fed_size = self.state_size()
-            stats.note_state_size(self._fed_size)
+            emitted.extend(self._punctuate(punctuation))
 
     # -- construction (RIP descent) --------------------------------------------------
 

@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional
 from repro.core.clock import StreamClock
 from repro.core.engine import Engine, LatePolicy, OutOfOrderEngine
 from repro.core.errors import ConfigurationError, DisorderBoundViolation, QueryError
-from repro.core.event import Event, Punctuation, StreamElement
+from repro.core.event import Event, Punctuation
 from repro.core.pattern import Match, Pattern
 from repro.core.purge import PurgePolicy
 from repro.core.stats import EngineStats
@@ -219,20 +219,35 @@ class PartitionedEngine(Engine):
             # Catch the new partition up to the global horizon so its
             # first events are judged against the same promise.
             if self._last_broadcast >= 0:
-                engine.feed(Punctuation(self._last_broadcast))
+                engine._punctuate(Punctuation(self._last_broadcast))
                 self._state_total += engine._fed_size
             self._partitions[value] = engine
         return engine
 
     def _feed_partition(
-        self, engine: OutOfOrderEngine, element: StreamElement, emitted: List[Match]
+        self, engine: OutOfOrderEngine, event: Event, emitted: List[Match]
     ) -> None:
-        """Feed one sub-engine, surfacing its matches and carrying its
-        size change into the running total."""
+        """Run one routed event through its sub-engine's loop, surfacing
+        the matches and carrying its size change into the running total.
+
+        The event was screened on the way in, so it goes straight to the
+        sub-engine's loop rather than through its public ``feed``.
+        """
         before = engine._fed_size
-        for match in engine.feed(element):
+        for match in engine._loop((event,)):
             self._surface(match, emitted)
         self._state_total += engine._fed_size - before
+
+    def _punctuate_partitions(
+        self, punctuation: Punctuation, emitted: List[Match]
+    ) -> None:
+        """Apply one punctuation to every partition, like
+        :meth:`_feed_partition` does an event."""
+        for engine in self._partitions.values():
+            before = engine._fed_size
+            for match in engine._punctuate(punctuation):
+                self._surface(match, emitted)
+            self._state_total += engine._fed_size - before
 
     def state_size(self) -> int:
         return self._state_total
@@ -287,7 +302,6 @@ class PartitionedEngine(Engine):
         for value, sub_state in state["partitions"]:
             sub = self._blank_sub_engine()
             sub._restore_state(sub_state)
-            sub._fed_size = sub.state_size()
             self._partitions[value] = sub
         self._state_total = sum(sub._fed_size for sub in self._partitions.values())
 
@@ -354,8 +368,7 @@ class PartitionedEngine(Engine):
     def _on_punctuation(self, punctuation: Punctuation) -> List[Match]:
         self.clock.observe_punctuation(punctuation)
         emitted: List[Match] = []
-        for engine in self._partitions.values():
-            self._feed_partition(engine, punctuation, emitted)
+        self._punctuate_partitions(punctuation, emitted)
         self._last_broadcast = max(self._last_broadcast, punctuation.ts)
         return emitted
 
@@ -364,9 +377,7 @@ class PartitionedEngine(Engine):
         if horizon <= self._last_broadcast or horizon < 0:
             return
         self._last_broadcast = horizon
-        punctuation = Punctuation(horizon)
-        for engine in self._partitions.values():
-            self._feed_partition(engine, punctuation, emitted)
+        self._punctuate_partitions(Punctuation(horizon), emitted)
 
     def _flush(self) -> List[Match]:
         emitted: List[Match] = []

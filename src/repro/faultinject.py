@@ -234,6 +234,7 @@ class FaultInjector:
                 self.arm(sub)
         elif isinstance(engine, OutOfOrderEngine):
             engine.purger = _CrashingPurger(engine.purger, self)
+            engine._bound = None  # the event loop bound the old purger
         elif isinstance(engine, InOrderEngine):
             purge = engine._purge
 

@@ -26,7 +26,7 @@ def test_suppressions_are_exercised():
     """Every committed suppression still matches a real finding; stale
     opt-outs (the finding disappeared) should be deleted, not kept."""
     report = run_analysis([str(SRC)])
-    assert report.suppressed == 14
+    assert report.suppressed == 16
 
 
 def test_no_dead_suppressions():

@@ -203,7 +203,9 @@ class TestPartitioningWins:
 
 class TestStateCountCost:
     """Retained-state accounting costs O(1) per sub-engine feed, however
-    many partitions exist (counted calls, no wall-clock bound)."""
+    many partitions exist (counted calls, no wall-clock bound): a routed
+    event re-counts nothing, a broadcast punctuation counts its one
+    sub-engine once."""
 
     @staticmethod
     def _count_state_size_calls(monkeypatch, pattern, keys, punctuate_every):
@@ -222,28 +224,31 @@ class TestStateCountCost:
         engine.feed_many(trace)
         monkeypatch.undo()
         assert engine.partition_count() == keys
-        sub_feeds = sum(
-            sub.stats.events_in + sub.stats.punctuations_in
-            for sub in engine._partitions.values()
+        event_feeds = sum(sub.stats.events_in for sub in engine._partitions.values())
+        punct_feeds = sum(
+            sub.stats.punctuations_in for sub in engine._partitions.values()
         )
-        return calls[0], sub_feeds, len(trace)
+        assert event_feeds == len(trace)
+        return calls[0], punct_feeds
 
     def test_calls_per_element_flat_in_key_count(self, monkeypatch, keyed_pattern):
-        # No horizon broadcast, so every element is exactly one sub-feed.
-        per_element = []
+        # No horizon broadcast, so every sub-feed is a routed event: zero
+        # calls per element at 8 keys and at 64.
         for keys in (8, 64):
-            calls, _, elements = self._count_state_size_calls(
+            calls, punct_feeds = self._count_state_size_calls(
                 monkeypatch, keyed_pattern, keys, punctuate_every=10_000
             )
-            per_element.append(calls / elements)
-        assert per_element[0] == per_element[1] == 1.0
+            assert punct_feeds == 0
+            assert calls == 0
 
     def test_one_call_per_sub_feed_with_broadcasts(self, monkeypatch, keyed_pattern):
+        # Only the broadcast punctuations count, once per sub-engine.
         for keys in (8, 64):
-            calls, sub_feeds, _ = self._count_state_size_calls(
+            calls, punct_feeds = self._count_state_size_calls(
                 monkeypatch, keyed_pattern, keys, punctuate_every=16
             )
-            assert calls == sub_feeds
+            assert punct_feeds > 0
+            assert calls == punct_feeds
 
 
 class TestSpeculativePartitions:

@@ -270,8 +270,9 @@ class Project:
         or the class (or an ancestor) defines one of the event-loop
         methods only engines implement: the per-event hook
         ``_process_event``, a fused ``_loop``, or ``feed_batch``.
-        Wrappers that merely *drive* an engine (recovery runner, query
-        registry, output adapter) define none and are out of scope.
+        Wrappers that merely *drive* an engine (query registry, output
+        adapter) define none and are out of scope; the recovery runners
+        define ``feed_batch`` and carry suppressions instead.
         """
         for klass in self.mro(cls):
             if klass.name == "Engine" or not ENGINE_LOOP_METHODS.isdisjoint(

@@ -35,15 +35,22 @@ same configuration, point a new runner at the same directory, and call
 # group-commit batches one flush per socket batch to amortise it.
 # Moving these writes off-thread would ack frames the disk has not seen.
 # repro: ignore-file[R007] -- group-commit durability is synchronous by design
+# The runner drives an engine but is not one: its feed path exists to
+# write the WAL, the delivery log and checkpoints, and replay reads only
+# the WAL, so that I/O cannot make a replay diverge.
+# repro: ignore-file[R002] -- durable logging is the runner's feed path
 
 from __future__ import annotations
 
 import json
 import os
 import pickle
+from collections import deque
 from json.encoder import encode_basestring_ascii as _escape_json
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, TextIO, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple, Union
+)
 
 from repro.core.engine import Engine
 from repro.core.errors import ConfigurationError, RecoveryError
@@ -81,12 +88,15 @@ def encode_element(element: StreamElement) -> Dict[str, Any]:
 def _element_wal_line(element: StreamElement) -> str:
     """The WAL line for *element*: ``json.dumps(encode_element(e), sort_keys=True)``.
 
-    Hand-assembled on the common path — the per-element dict build plus
+    Hand-assembled on the common paths — the per-element dict build plus
     full-document ``json.dumps`` is the single largest cost of the WAL
-    append (~3µs of a ~7µs budget), and events are almost always a flat
-    string/int attribute map.  Anything else falls back to the real
-    encoder, so the output is identical JSON either way.
+    append (~3µs of a ~7µs budget).  Events are almost always a flat
+    string/int attribute map, and a punctuation is one integer.
+    Anything else falls back to the real encoder, so the output is
+    identical JSON either way.
     """
+    if type(element) is Punctuation and type(element.ts) is int:
+        return f'{{"kind": "punct", "ts": {element.ts}}}'
     if type(element) is Event:
         parts = []
         fast = True
@@ -238,7 +248,8 @@ class ResilientRunner:
         self._delivered_path = self.directory / DELIVERED_NAME
         self._seq = 0  # input elements durably logged AND processed
         self._delivered = 0  # matches delivered downstream (log length)
-        self._suppress: List[Dict[str, Any]] = []
+        #: delivery records a recovery replay must re-emit, not re-deliver
+        self._suppress: deque[Dict[str, Any]] = deque()
         self._engine_closed = False
         self._wal_handle: Optional[TextIO] = None
         self._wal_dirty = False
@@ -321,7 +332,7 @@ class ResilientRunner:
                 f"checkpoint claims {checkpoint_delivered} were delivered"
             )
         self._delivered = checkpoint_delivered
-        self._suppress = delivered_log[checkpoint_delivered:]
+        self._suppress = deque(delivered_log[checkpoint_delivered:])
         wal = _read_jsonl(self._wal_path, WAL_NAME)
         elements = [record for record in wal if record["kind"] != "close"]
         saw_close = any(record["kind"] == "close" for record in wal)
@@ -335,11 +346,9 @@ class ResilientRunner:
         # the baseline this recovery adds to.
         if self._c_recoveries is not None:
             self._c_recoveries.inc()
-        for record in elements[checkpoint_seq:]:
-            self._apply(decode_element(record), logged=True)
-            self.replayed_elements += 1
-            if self._c_replayed is not None:
-                self._c_replayed.inc()
+        self._feed(
+            [decode_element(record) for record in elements[checkpoint_seq:]], log=False
+        )
         if saw_close and not self._engine_closed:
             self._replay_close()
         if self._suppress:
@@ -371,10 +380,19 @@ class ResilientRunner:
 
     # -- feeding --------------------------------------------------------------------
 
-    def feed(self, element: StreamElement) -> List[Match]:
+    def feed(self, element: StreamElement) -> List[Match]:  # repro: ignore[R004] -- a driver; it checkpoints the engine it wraps
         """Durably log *element*, feed the engine, deliver new matches."""
-        self._wal_write_line(_element_wal_line(element))
-        return self._apply(element, logged=False)
+        return self.feed_batch((element,))
+
+    def feed_batch(self, elements: Sequence[StreamElement]) -> List[Match]:
+        """Durably log *elements*, feed them to the engine, deliver new matches.
+
+        The WAL, the delivery log, the checkpoints and every engine
+        counter come out exactly as if each element had been fed in
+        turn; only the number of writes and engine calls shrinks (see
+        :meth:`_feed`).
+        """
+        return self._feed(elements, log=True)
 
     def run(self, elements: Iterable[StreamElement]) -> List[Match]:
         """Feed every element not already covered by the WAL, then close.
@@ -394,19 +412,46 @@ class ResilientRunner:
         delivered.extend(self.close())
         return delivered
 
-    def _apply(self, element: StreamElement, logged: bool) -> List[Match]:
-        if self._engine_closed:
+    def _feed(self, elements: Sequence[StreamElement], log: bool) -> List[Match]:
+        """The one feeding path, for live elements (*log*) and WAL replay.
+
+        *elements* are cut into segments that end where a checkpoint is
+        due.  Each segment costs one WAL write (skipped on replay), one
+        ``engine.feed_batch`` call and one delivery-log flush, and a
+        checkpoint follows at the same sequence number as per-element
+        feeding would take it.  The engine sees the identical element
+        sequence, so its emissions — and with them the delivery log —
+        cannot tell the two apart.  With a fault injector every element
+        is its own segment, so crash points fire at the same element
+        with the same engine state.
+        """
+        if self._engine_closed and elements:
             raise RecoveryError("runner is closed; recovery found a close sentinel")
-        self._seq += 1
-        if self.fault is not None:
-            # Fires after the element is durable, before the engine sees
-            # it — the worst moment: state and log maximally disagree.
-            self._flush_wal()
-            self.fault.on_logged(self._seq - 1)
-        matches = self.engine.feed(element)
-        delivered = self._deliver(matches)
-        if self._seq % self.checkpoint_every == 0:
-            self.checkpoint()
+        delivered: List[Match] = []
+        every = self.checkpoint_every
+        fault = self.fault
+        start = 0
+        total = len(elements)
+        while start < total:
+            room = 1 if fault is not None else every - self._seq % every
+            segment = elements[start : start + room]
+            start += len(segment)
+            if log:
+                self._wal_write([_element_wal_line(element) for element in segment])
+            self._seq += len(segment)
+            if fault is not None:
+                # Fires after the element is durable, before the engine
+                # sees it — the worst moment: state and log maximally
+                # disagree.
+                self._flush_wal()
+                fault.on_logged(self._seq - 1)
+            delivered.extend(self._deliver(self.engine.feed_batch(segment)))
+            if not log:
+                self.replayed_elements += len(segment)
+                if self._c_replayed is not None:
+                    self._c_replayed.inc(len(segment))
+            if self._seq % every == 0:
+                self.checkpoint()
         return delivered
 
     def close(self) -> List[Match]:
@@ -432,11 +477,18 @@ class ResilientRunner:
         }
 
     def _deliver(self, matches: List[Match]) -> List[Match]:
+        """Log and hand on *matches*; replayed re-emissions are checked instead.
+
+        All delivery records of one call are written with one flush,
+        after the WAL flush that makes their triggering elements durable.
+        """
         delivered: List[Match] = []
+        lines: List[str] = []
+        suppress = self._suppress
         for match in matches:
             record = self._match_record(match, self._delivered)
-            if self._suppress:
-                expected = self._suppress.pop(0)
+            if suppress:
+                expected = suppress.popleft()
                 if record != expected:
                     raise RecoveryError(
                         f"replay re-emitted {record} where the delivery "
@@ -445,10 +497,12 @@ class ResilientRunner:
                     )
                 self._delivered += 1
                 continue
-            self._delivered_append(record)
+            lines.append(json.dumps(record, sort_keys=True) + "\n")
             self._delivered += 1
             self.matches.append(match)
             delivered.append(match)
+        if lines:
+            self._delivered_write(lines)
         return delivered
 
     # -- durable writes ---------------------------------------------------------------
@@ -460,15 +514,16 @@ class ResilientRunner:
         # checkpoint, or close.  A crash can lose at most the buffered
         # tail, and those elements are simply re-fed from the input —
         # they produced no durable delivery by construction.
-        self._wal_write_line(json.dumps(record, sort_keys=True))
+        self._wal_write([json.dumps(record, sort_keys=True)])
 
-    def _wal_write_line(self, line: str) -> None:
+    def _wal_write(self, lines: List[str]) -> None:
+        """Append *lines* to the WAL in one (buffered) write."""
         if self._wal_handle is None:
             self._wal_handle = self._wal_path.open("a", encoding="utf-8")
-        self._wal_handle.write(line + "\n")
+        self._wal_handle.write("\n".join(lines) + "\n")
         self._wal_dirty = True
         if self._c_wal is not None:
-            self._c_wal.inc()
+            self._c_wal.inc(len(lines))
 
     def _flush_wal(self) -> None:
         if self._wal_dirty and self._wal_handle is not None:
@@ -493,13 +548,13 @@ class ResilientRunner:
         self._flush_wal()
         report(clock() - started)
 
-    def _delivered_append(self, record: Dict[str, Any]) -> None:
+    def _delivered_write(self, lines: List[str]) -> None:
         # WAL first: a delivery record must never be durable while the
         # element that triggered it is not.
         self._flush_wal()
         if self._delivered_handle is None:
             self._delivered_handle = self._delivered_path.open("a", encoding="utf-8")
-        self._delivered_handle.write(json.dumps(record, sort_keys=True) + "\n")
+        self._delivered_handle.write("".join(lines))
         self._delivered_handle.flush()
 
     def checkpoint(self) -> None:
@@ -534,3 +589,47 @@ class ResilientRunner:
     def delivered_count(self) -> int:
         """Matches delivered downstream across ALL incarnations."""
         return self._delivered
+
+
+class DirectRunner:
+    """In-memory stand-in for :class:`ResilientRunner` (durability off).
+
+    Keeps a feeding surface uniform — ``feed`` / ``feed_batch`` /
+    ``sync`` / ``close`` / ``matches`` / ``seq`` — for drivers such as
+    the ingest gateway when no directory is given, at the cost of
+    losing everything on a crash (which is exactly what an undurable
+    deployment asked for).
+    """
+
+    __slots__ = ("engine", "matches", "recovered", "_seq", "_closed")
+
+    def __init__(self, engine: Engine):
+        self.engine = engine
+        self.matches: List[Match] = []
+        self.recovered = False
+        self._seq = 0
+        self._closed = False
+
+    def feed(self, element: StreamElement) -> List[Match]:  # repro: ignore[R004] -- a driver; durability off, nothing to checkpoint
+        return self.feed_batch((element,))
+
+    def feed_batch(self, elements: Sequence[StreamElement]) -> List[Match]:
+        self._seq += len(elements)
+        out = self.engine.feed_batch(elements)
+        self.matches.extend(out)
+        return out
+
+    def sync(self) -> None:
+        pass
+
+    def close(self) -> List[Match]:
+        if self._closed:
+            return []
+        self._closed = True
+        out = self.engine.close()
+        self.matches.extend(out)
+        return out
+
+    @property
+    def seq(self) -> int:
+        return self._seq

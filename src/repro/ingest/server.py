@@ -12,10 +12,19 @@ rest of the package provides into the exactly-once admission story:
   per-source windows are rebuilt from the runner's WAL so redeliveries
   racing the restart are still caught;
 * **group-commit acks** — every batch of frames read off a socket is
-  admitted, fed, and made durable (:meth:`ResilientRunner.sync`) before
-  a single ack is written back.  An acked frame is on disk; an unacked
-  frame will be resent by the client and deduped.  Exactly-once,
-  relative to acks, with one WAL flush per batch instead of per frame;
+  one window.  Each frame is decided in order (backpressure, schema,
+  dedupe, liveness, merged watermark); admitted events and the
+  punctuations they trigger are staged in arrival order, and the
+  window is committed with one :meth:`ResilientRunner.feed_batch`
+  call — one WAL write, one engine ``feed_batch``, one delivery-log
+  flush — then made durable (:meth:`ResilientRunner.sync`) before a
+  single ack is written back.  The engine sees exactly the element
+  sequence per-frame feeding would give it.  A gateway whose engine
+  sheds (admission reads its occupancy) or raises on late events
+  commits after every frame instead.  An acked frame is on disk; an
+  unacked frame will be resent by the client and deduped.
+  Exactly-once, relative to acks, with one WAL flush per batch instead
+  of per frame;
 * **per-source watermarks** (:mod:`repro.ingest.liveness`) — each
   source's occurrence times advance its own watermark; the min-merge
   becomes engine punctuation.  A source silent past the liveness
@@ -58,9 +67,10 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
+from repro.core.engine import LatePolicy
 from repro.core.errors import ConfigurationError, ReproError
-from repro.core.event import Event, Punctuation
-from repro.core.recovery import ResilientRunner, read_wal_elements
+from repro.core.event import Event, Punctuation, StreamElement
+from repro.core.recovery import DirectRunner, ResilientRunner, read_wal_elements
 from repro.faultinject import CrashError
 from repro.ingest.admission import AdmissionController, AdmissionOutcome
 from repro.ingest.liveness import LivenessTracker, SourceStatus, Transition
@@ -167,46 +177,6 @@ class GatewayConfig:
         self.retry_after = float(retry_after)
         self.checkpoint_every = checkpoint_every
         self.telemetry_port = telemetry_port
-
-
-class _DirectRunner:
-    """In-memory stand-in for :class:`ResilientRunner` (durability off).
-
-    Keeps the gateway's feeding surface uniform — ``feed`` / ``sync`` /
-    ``close`` / ``matches`` / ``seq`` — when no directory is given, at
-    the cost of losing everything on a crash (which is exactly what an
-    undurable deployment asked for).
-    """
-
-    __slots__ = ("engine", "matches", "recovered", "_seq", "_closed")
-
-    def __init__(self, engine: Any):
-        self.engine = engine
-        self.matches: List[Any] = []
-        self.recovered = False
-        self._seq = 0
-        self._closed = False
-
-    def feed(self, element: Any) -> List[Any]:
-        self._seq += 1
-        out = self.engine.feed(element)
-        self.matches.extend(out)
-        return out
-
-    def sync(self) -> None:
-        pass
-
-    def close(self) -> List[Any]:
-        if self._closed:
-            return []
-        self._closed = True
-        out = self.engine.close()
-        self.matches.extend(out)
-        return out
-
-    @property
-    def seq(self) -> int:
-        return self._seq
 
 
 class _Truncate:
@@ -381,7 +351,7 @@ class IngestGateway:
                     "without a WAL has nothing to recover from"
                 )
             self.directory = None
-            self.runner = _DirectRunner(engine)
+            self.runner = DirectRunner(engine)
         self._journal_writer: Optional[_JournalWriter] = (
             _JournalWriter(self.directory / JOURNAL_NAME)
             if self.directory is not None
@@ -451,6 +421,19 @@ class IngestGateway:
         )
         self._last_shed = 0
         self._last_retractions = 0
+        # The open window: elements decided but not yet fed, in arrival
+        # order, and (with spans) each admitted frame's admit-stage
+        # bounds.  Empty whenever the event loop can switch tasks.
+        self._staged: List[StreamElement] = []
+        self._staged_frames: List[Tuple[str, float, float, Any, int]] = []
+        # Windows of one where feeding a frame can change how the next
+        # one is decided or whether it is fed at all: shed occupancy is
+        # read per frame, and an engine that raises on a late event must
+        # stop at that frame.
+        self._window_of_one = (
+            getattr(engine, "shed", None) is not None
+            or getattr(engine, "late_policy", None) is LatePolicy.RAISE
+        )
         if flight is not None and isinstance(self.runner, ResilientRunner):
             # Time each group commit off the runner's own sync point so
             # the flight timeline can name a slow WAL flush directly.
@@ -520,8 +503,10 @@ class IngestGateway:
     ) -> Dict[str, Any]:
         """Decide and apply one event frame; returns the ack payload.
 
-        The full admission ladder: backpressure refusal → schema
-        quarantine → duplicate drop → feed + watermark advance.  Raises
+        A window of one: the frame runs the admission ladder
+        (backpressure refusal → schema quarantine → duplicate drop →
+        stage the event and its watermark advance), and the window is
+        committed to the runner before this returns.  Raises
         :class:`~repro.faultinject.CrashError` when an injected crash
         point fires (the caller owns crash semantics).  The frame is NOT
         durable until :meth:`sync_acks` — transports must sync before
@@ -530,6 +515,25 @@ class IngestGateway:
         *span* is the client-minted span context from the wire frame
         (``{"t0": <monotonic seconds>}``); it only feeds latency
         attribution and never changes the decision.
+        """
+        ack = self._decide_frame(source, etype, attrs, now, span)
+        self._commit()
+        return ack
+
+    def _decide_frame(
+        self,
+        source: str,
+        etype: Any,
+        attrs: Any,
+        now: Optional[float],
+        span: Any,
+    ) -> Dict[str, Any]:
+        """Run one event frame through the admission ladder; returns its ack.
+
+        An admitted event, and the punctuation its watermark advance
+        triggers, are staged in arrival order; nothing reaches the
+        runner until :meth:`_commit`.  The socket handler decides a
+        whole read this way and commits it as one window.
         """
         if self.crashed:
             raise ReproError("gateway crashed; rebuild it to recover")
@@ -594,25 +598,18 @@ class IngestGateway:
         transition = self.liveness.observe(source, event.ts, now)
         if transition is not None:
             self._note_transition(transition)
-        t_admit = self._clock() if spans is not None else 0.0
-        matches_before = len(self.runner.matches) if spans is not None else 0
-        try:
-            self.runner.feed(event)
-            self._advance_watermark()
-        except CrashError:
-            self._note_crash()
-            raise
+        if spans is not None:
+            self._staged_frames.append(
+                (source, t_start, self._clock(), span_origin(span), event.eid)
+            )
+        self._staged.append(event)
+        self._advance_watermark()
+        if self._window_of_one:
+            self._commit()
         if self._c_admitted is not None:
             self._c_admitted.inc()
         if self._flight is not None:
             self._flight.note(now, "admit", source, value=event.ts)
-        if spans is not None:
-            t_feed = self._clock()
-            spans.note_frame(
-                source, "admitted", t_start, t_admit, t_feed,
-                span_origin(span), event.eid,
-            )
-            self._note_emitted_since(matches_before, t_feed)
         ack: Dict[str, Any] = {"status": "admitted"}
         if pressure >= self.config.soft_pressure:
             # Soft band: admit, but ask the client to slow down
@@ -627,6 +624,13 @@ class IngestGateway:
         self, source: str, ts: int, now: Optional[float] = None
     ) -> Dict[str, Any]:
         """An idle source asserted its progress; advance punctuation."""
+        ack = self._stage_watermark(source, ts, now)
+        self._commit()
+        return ack
+
+    def _stage_watermark(
+        self, source: str, ts: int, now: Optional[float]
+    ) -> Dict[str, Any]:
         if self.crashed:
             raise ReproError("gateway crashed; rebuild it to recover")
         if now is None:
@@ -636,11 +640,7 @@ class IngestGateway:
         if transition is not None:
             self._note_transition(transition)
         self.liveness.assert_watermark(source, ts, now)
-        try:
-            self._advance_watermark()
-        except CrashError:
-            self._note_crash()
-            raise
+        self._advance_watermark()
         return {"status": "ok", "watermark": self.liveness.merged_watermark()}
 
     def sync_acks(self) -> None:
@@ -657,17 +657,19 @@ class IngestGateway:
             self._note_transition(transition)
 
     def disconnect_source(self, source: str, now: Optional[float] = None) -> None:
-        """Note a departing source; the liveness timeout fences it later."""
+        """Note a departing source; the liveness timeout fences it later.
+
+        Anything still staged is committed first, so a connection that
+        ends mid-read leaves no decided frame unfed.
+        """
+        self._commit()
         if now is None:
             now = self._clock()
         transition = self.liveness.disconnect(source, now)
         if transition is not None:
             self._note_transition(transition)
-            try:
-                self._advance_watermark()
-            except CrashError:
-                self._note_crash()
-                raise
+            self._advance_watermark()
+            self._commit()
 
     def tick(self, now: Optional[float] = None) -> List[Transition]:
         """One liveness sweep: degrade silent sources, advance the merge."""
@@ -679,19 +681,16 @@ class IngestGateway:
         for transition in transitions:
             self._note_transition(transition)
         if transitions:
-            try:
-                self._advance_watermark()
-            except CrashError:
-                self._note_crash()
-                raise
+            self._advance_watermark()
+            self._commit()
         return transitions
 
     def _advance_watermark(self) -> None:
-        # Fed AFTER the event that moved it: the mark trails t_event by
-        # slack + 1, so the punctuation never contradicts its trigger.
+        # Staged AFTER the event that moved it: the mark trails t_event
+        # by slack + 1, so the punctuation never contradicts its trigger.
         punctuation = self.liveness.watermarks.advance()
         if punctuation is not None:
-            self.runner.feed(punctuation)
+            self._staged.append(punctuation)
         if (
             self._g_watermark is None
             and self._lag_panel is None
@@ -708,9 +707,42 @@ class IngestGateway:
                 self.liveness.source_marks(), self.liveness.fenced_map(), merged
             )
         if self._flight is not None and punctuation is not None:
-            now = self._clock()
-            self._flight.note(now, "watermark", value=merged)
-            self._note_engine_pressure(now)
+            self._flight.note(self._clock(), "watermark", value=merged)
+
+    def _commit(self) -> None:
+        """Feed the staged window to the runner: one ``feed_batch`` call.
+
+        The engine sees the same elements in the same order as if each
+        had been fed when its frame was decided.  What reads engine
+        state after a feed runs here: the admitted frames' feed-stage
+        spans, the emit-path spans of the matches the window delivered,
+        and the flight recorder's engine-pressure notes.
+        """
+        staged = self._staged
+        if not staged:
+            return
+        self._staged = []
+        frames = self._staged_frames
+        if frames:
+            self._staged_frames = []
+        spans = self._spans
+        matches_before = len(self.runner.matches) if spans is not None else 0
+        try:
+            self.runner.feed_batch(staged)
+        except CrashError:
+            self._note_crash()
+            raise
+        if spans is not None:
+            t_feed = self._clock()
+            for source, t_start, t_admit, origin, eid in frames:
+                spans.note_frame(
+                    source, "admitted", t_start, t_admit, t_feed, origin, eid
+                )
+            self._note_emitted_since(matches_before, t_feed)
+        if self._flight is not None and any(
+            type(element) is Punctuation for element in staged
+        ):
+            self._note_engine_pressure(self._clock())
 
     def _note_engine_pressure(self, now: float) -> None:
         """Flight records for reorder holds, sheds, and retractions.
@@ -755,6 +787,9 @@ class IngestGateway:
             else stages.SOURCE_DEGRADED
         )
         if self.tracer is not None:
+            # Nothing is staged here, so the arrival clock is the one
+            # per-frame feeding would show: a read carries one source,
+            # so only its first frame can move that source's status.
             self.tracer.record(
                 self.engine.arrival_index,
                 stage,
@@ -1152,23 +1187,27 @@ class IngestGateway:
                             break
                         continue
                     if op == "event":
-                        ack = self.admit_frame(
+                        ack = self._decide_frame(
                             source,
                             frame.get("etype"),
                             frame.get("attrs"),
-                            span=frame.get(SPAN_FIELD),
+                            None,
+                            frame.get(SPAN_FIELD),
                         )
                         ack["op"] = "ack"
                         ack["n"] = frame.get("n")
                         fed = fed or ack["status"] == "admitted"
                         replies.append(ack)
                     elif op == "watermark":
-                        ack = self.assert_watermark(source, int(frame.get("ts", 0)))
+                        ack = self._stage_watermark(
+                            source, int(frame.get("ts", 0)), None
+                        )
                         ack["op"] = "ack"
                         ack["n"] = frame.get("n")
                         fed = True
                         replies.append(ack)
                     elif op == "stats":
+                        self._commit()  # the stats read the engine
                         replies.append({"op": "stats_ok", "stats": self.stats()})
                     elif op == "bye":
                         replies.append({"op": "bye_ok"})
@@ -1178,6 +1217,9 @@ class IngestGateway:
                         replies.append(
                             {"op": "error", "reason": f"unknown op {op!r}"}
                         )
+                # Every frame above was decided in order; the window they
+                # staged reaches the runner in one call.
+                self._commit()
                 t_sync_start = self._clock() if spans is not None else 0.0
                 if fed:
                     # The group commit: nothing above is acked until the

@@ -37,9 +37,10 @@ STAGE_TRANSIT = "transit"
 STAGE_QUEUE = "queue"
 #: The admission ladder: backpressure check, schema, dedupe window.
 STAGE_ADMIT = "admit"
-#: Runner feed: WAL append + engine feed + watermark advance.
+#: Admission decided -> the batch's window committed (deciding the rest
+#: of the batch, then one WAL append + engine feed for all of it).
 STAGE_FEED = "feed"
-#: Frame fed -> batch group-commit start (waiting for batchmates to feed).
+#: Window committed -> batch group-commit start.
 STAGE_HOLD = "hold"
 #: The WAL flush barrier (group commit).
 STAGE_SYNC = "sync"

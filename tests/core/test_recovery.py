@@ -28,6 +28,7 @@ from repro.core.recovery import (
     CHECKPOINT_NAME,
     DELIVERED_NAME,
     WAL_NAME,
+    _element_wal_line,
     clear_state,
     decode_element,
     encode_element,
@@ -73,6 +74,26 @@ class TestElementCodec:
         clone = decode_element(encode_element(Punctuation(9)))
         assert isinstance(clone, Punctuation) and clone.ts == 9
 
+    @pytest.mark.parametrize(
+        "element",
+        [
+            Event("A", 7, {"x": 1, "y": "z"}, eid=42),
+            Event("A", 7, {}, eid=1),
+            Event("B", 3, {"price": 1.5, "n": 2}, eid=5),
+            Event("B", 3, {"nested": {"k": [1, "two"]}, "flag": True}, eid=6),
+            Event("Ä", 0, {"schlüssel": "wert ✓", "é": 3}, eid=7),
+            Event("A", 9, {"quote": 'say "hi"\n', "x": -4}, eid=8),
+            Punctuation(0),
+            Punctuation(123456789),
+        ],
+        ids=["flat", "empty", "float", "nested", "non-ascii", "escapes",
+             "punct-0", "punct"],
+    )
+    def test_wal_line_is_the_json_encoding(self, element):
+        assert _element_wal_line(element) == json.dumps(
+            encode_element(element), sort_keys=True
+        )
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(RecoveryError):
             decode_element({"kind": "mystery"})
@@ -112,6 +133,29 @@ class TestPlainOperation:
         ]
         assert [r["seq"] for r in records] == list(range(len(records)))
         assert all(r["start_ts"] <= r["end_ts"] for r in records)
+
+    @pytest.mark.parametrize("chunk", [3, 7, 64])
+    @pytest.mark.parametrize("interval", [4, 25])
+    def test_feed_batch_is_byte_identical_to_feed(self, tmp_path, chunk, interval):
+        # Chunks straddle checkpoint boundaries; a punctuation rides along.
+        stream = trace(80)
+        stream = stream[:40] + [Punctuation(30)] + stream[40:]
+        one = ResilientRunner(make_engine(), tmp_path / "one", checkpoint_every=interval)
+        single = [m.key() for e in stream for m in one.feed(e)]
+        many = ResilientRunner(make_engine(), tmp_path / "many", checkpoint_every=interval)
+        batched = [
+            m.key()
+            for lo in range(0, len(stream), chunk)
+            for m in many.feed_batch(stream[lo : lo + chunk])
+        ]
+        assert batched == single
+        assert many.seq == one.seq == len(stream)
+        assert many.checkpoints_written == one.checkpoints_written
+        for name in (WAL_NAME, DELIVERED_NAME, CHECKPOINT_NAME):
+            assert (tmp_path / "many" / name).read_bytes() == (
+                tmp_path / "one" / name
+            ).read_bytes(), name
+        assert many.engine.stats.as_dict() == one.engine.stats.as_dict()
 
     def test_interval_validated(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -195,6 +239,44 @@ class TestCrashRecovery:
         keys = [json.dumps(json.loads(line)["key"]) for line in lines]
         assert len(keys) == len(set(keys))
         assert recovered.delivered_count == len(keys)
+
+    def test_long_suppression_is_exactly_once(self, tmp_path):
+        # Ten A's, then B's that each complete a match with every A: the
+        # run delivers 51,000 matches without one checkpoint, so the
+        # restart replays the whole WAL and suppresses ~51k re-emissions.
+        fan = seq("A a", "B b", within=100_000, name="fan")
+        stream = [Event("A", ts, {}, eid=ts) for ts in range(1, 11)] + [
+            Event("B", ts, {}, eid=ts) for ts in range(11, 5111)
+        ]
+        first = ResilientRunner(
+            OutOfOrderEngine(fan, k=0),
+            tmp_path,
+            checkpoint_every=1 << 20,
+            fault=FaultInjector(crash_at=[len(stream) - 1]),
+        )
+        with pytest.raises(CrashError):
+            first.run(stream)
+        suppressed = first.delivered_count
+        assert suppressed >= 50_000
+        second = ResilientRunner(
+            OutOfOrderEngine(fan, k=0), tmp_path, checkpoint_every=1 << 20
+        )
+        assert second.replayed_elements == len(stream)
+        # Everything delivered before the crash was suppressed; only the
+        # crashed B (logged, never fed) delivers its ten matches anew.
+        assert len(second.matches) == 10
+        second.run(stream)
+        records = [
+            json.loads(line)
+            for line in (tmp_path / DELIVERED_NAME).read_text().splitlines()
+        ]
+        assert [record["seq"] for record in records] == list(range(51_000))
+        keys = {json.dumps(record["key"]) for record in records}
+        assert len(keys) == 51_000
+        before = {m.key() for m in first.matches}
+        after = {m.key() for m in second.matches}
+        assert len(before) == suppressed and len(after) == 51_000 - suppressed
+        assert before & after == set()
 
 
 class TestLogRepairAndErrors:
